@@ -380,8 +380,9 @@ def _run_cell_star(args) -> ResultRow:
 def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     """All (loss, seed) cells of a config, in deterministic order.
 
-    A failing cell is recorded with its error and never aborts the others;
-    configuration-level errors (missing dataset, bad loss label) raise.
+    A cell whose training diverges is recorded as a failed row and the other
+    cells still run. Any other exception in a cell propagates and ends the
+    run, as do configuration-level errors (missing dataset, bad loss label).
     """
     if cfg.dataset != "synthetic":
         # Surface missing-file errors before any training happens.

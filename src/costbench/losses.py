@@ -17,9 +17,8 @@ from .costs import CostMatrix, confusion, cost_sensitive_loss
 from .embedding import (
     EmbeddingSurrogate,
     build_embedding_surrogate,
+    game_values,
     link_many,
-    surrogate_subgradients,
-    surrogate_values,
 )
 
 LOSS_KINDS = (
@@ -45,10 +44,14 @@ def log_softmax(scores: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
+class NonFiniteScores(ValueError):
+    """A loss was handed non-finite scores: the inputs or the model blew up."""
+
+
 def _check_scores(scores) -> np.ndarray:
     scores = np.asarray(scores, dtype=float)
     if not np.all(np.isfinite(scores)):
-        raise ValueError("scores must be finite")
+        raise NonFiniteScores("scores must be finite")
     return scores
 
 
@@ -89,13 +92,28 @@ def scaled_cross_entropy(cost: CostMatrix, scores, y: int) -> tuple[float, np.nd
     return float(vals[0]), grads[0]
 
 
+def _surrogate_values_and_subgradients(
+    s: EmbeddingSurrogate, U: np.ndarray, ys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """surrogate_values and surrogate_subgradients from one vertex argmax.
+
+    L(u, y) = G(u) - u_y, and its subgradient is the maximizing vertex minus
+    the indicator of y.
+    """
+    G, idx = game_values(s, U)
+    rows = np.arange(len(U))
+    grads = s.verts_p[idx]
+    grads[rows, ys] -= 1.0
+    return G - U[rows, ys], grads
+
+
 def embedding_raw_batch(
     s: EmbeddingSurrogate, U: np.ndarray, ys: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Surrogate loss on directly-predicted points, with exact subgradients."""
     U = _check_scores(U)
     ys = np.asarray(ys, dtype=int)
-    return surrogate_values(s, U, ys), surrogate_subgradients(s, U, ys)
+    return _surrogate_values_and_subgradients(s, U, ys)
 
 
 def embedding_softmax_batch(
@@ -117,8 +135,7 @@ def embedding_softmax_batch(
         )
     q = softmax(logits)
     U = q @ rep_phi
-    vals = surrogate_values(s, U, ys)
-    g_u = surrogate_subgradients(s, U, ys)
+    vals, g_u = _surrogate_values_and_subgradients(s, U, ys)
     proj = g_u @ rep_phi.T                      # (n, n_rep)
     grads = q * (proj - (q * proj).sum(axis=1, keepdims=True))
     return vals, grads

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .costs import CostMatrix, accuracy as cm_accuracy, confusion, cost_sensitive_loss
-from .losses import BoundLoss, DecisionRule
+from .losses import BoundLoss, DecisionRule, NonFiniteScores
 
 # Weight init: uniform(-INIT_SCALE/sqrt(fan_in), +INIT_SCALE/sqrt(fan_in)).
 INIT_SCALE = 1.0
@@ -154,6 +154,13 @@ class TrainedModel:
         return forward(self.params, x)
 
 
+def _step(params: Params, grads: Params, learning_rate: float) -> Params:
+    return [
+        (w - learning_rate * gw, b - learning_rate * gb)
+        for (w, b), (gw, gb) in zip(params, grads)
+    ]
+
+
 def train(
     spec: ModelSpec,
     loss: BoundLoss,
@@ -169,6 +176,17 @@ def train(
     minimal validation loss, and the returned parameters are its snapshot.
     selection_metric, when given, replaces the validation loss as the
     per-epoch selection criterion: a callable params -> float, lower is better.
+
+    Each epoch evaluates the loss once per split. The val column always comes
+    from a forward pass over the validation split. In full-batch mode the
+    train column of row e is the mean loss that step e + 1's gradient pass
+    computes at those same parameters. In minibatch mode no gradient pass
+    sees the whole train set, so a full-train forward pass fills it. In both
+    modes one full-train forward pass after the last step fills the final row.
+
+    Non-finite scores or losses at the parameters after step e >= 1 raise
+    TrainingDiverged(e), also when the full-batch train loss shows them one
+    step later. Any other error from a step propagates unchanged.
     """
     x_tr, y_tr = np.asarray(train_xy[0], float), np.asarray(train_xy[1], int)
     x_va, y_va = np.asarray(val_xy[0], float), np.asarray(val_xy[1], int)
@@ -180,50 +198,46 @@ def train(
         )
     params = init_model(spec)
     rng = np.random.default_rng(cfg.seed)
-
-    def epoch_losses() -> tuple[float, float]:
-        return _mean_loss(params, loss, x_tr, y_tr), _mean_loss(params, loss, x_va, y_va)
-
-    def selection_value() -> float:
-        if selection_metric is None:
-            return _mean_loss(params, loss, x_va, y_va)
-        return float(selection_metric(params))
-
+    lr = cfg.learning_rate
+    full_batch = cfg.batch_size is None
     history = np.empty((cfg.n_epochs + 1, 2))
-    history[0] = epoch_losses()
-    best_epoch = 0
-    best_val = selection_value()
-    best_params = _copy_params(params)
+    best_epoch, best_sel, best_params = 0, np.inf, params
 
-    for epoch in range(1, cfg.n_epochs + 1):
-        try:
-            if cfg.batch_size is None:
-                _, grads = mean_loss_and_param_grads(params, loss, x_tr, y_tr)
-                params = [
-                    (w - cfg.learning_rate * gw, b - cfg.learning_rate * gb)
-                    for (w, b), (gw, gb) in zip(params, grads)
-                ]
+    def finish_row(epoch: int, p: Params, tl: float, vl: float) -> None:
+        nonlocal best_epoch, best_sel, best_params
+        if epoch > 0 and not (np.isfinite(tl) and np.isfinite(vl)):
+            raise TrainingDiverged(epoch)
+        history[epoch] = (tl, vl)
+        sel = vl if selection_metric is None else float(selection_metric(p))
+        if epoch == 0 or sel < best_sel:
+            best_epoch, best_sel, best_params = epoch, sel, _copy_params(p)
+
+    # Step e first completes row e - 1. `at` is the epoch whose parameters
+    # the running loss pass evaluates.
+    at = 0
+    try:
+        vl = _mean_loss(params, loss, x_va, y_va)
+        for epoch in range(1, cfg.n_epochs + 1):
+            at = epoch - 1
+            if full_batch:
+                tl, grads = mean_loss_and_param_grads(params, loss, x_tr, y_tr)
+                finish_row(at, params, tl, vl)
+                params = _step(params, grads, lr)
             else:
+                finish_row(at, params, _mean_loss(params, loss, x_tr, y_tr), vl)
+                at = epoch
                 order = rng.permutation(len(x_tr))
                 for start in range(0, len(x_tr), cfg.batch_size):
                     idx = order[start : start + cfg.batch_size]
                     _, grads = mean_loss_and_param_grads(params, loss, x_tr[idx], y_tr[idx])
-                    params = [
-                        (w - cfg.learning_rate * gw, b - cfg.learning_rate * gb)
-                        for (w, b), (gw, gb) in zip(params, grads)
-                    ]
-            tl, vl = epoch_losses()
-        except ValueError as exc:
-            # Non-finite scores inside the loss mean the optimization blew up.
-            raise TrainingDiverged(epoch) from exc
-        if not (np.isfinite(tl) and np.isfinite(vl)):
-            raise TrainingDiverged(epoch)
-        history[epoch] = (tl, vl)
-        sel = vl if selection_metric is None else float(selection_metric(params))
-        if sel < best_val:
-            best_val = sel
-            best_epoch = epoch
-            best_params = _copy_params(params)
+                    params = _step(params, grads, lr)
+            at = epoch
+            vl = _mean_loss(params, loss, x_va, y_va)
+        finish_row(at, params, _mean_loss(params, loss, x_tr, y_tr), vl)
+    except NonFiniteScores as exc:
+        if at == 0:
+            raise  # the inputs, not the optimization, are non-finite
+        raise TrainingDiverged(at) from exc
 
     return TrainedModel(spec, loss, best_params, history, best_epoch)
 
@@ -357,24 +371,28 @@ def load_params(path) -> Params:
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != _PARAMS_MAGIC:
         raise ValueError(f"{path}: not a recognized parameter file")
-    n_layers = int(lines[2].split()[1])
     params: Params = []
-    pos = 3
-    for _ in range(n_layers):
-        _, _, n_in, n_out = lines[pos].split()
-        n_in, n_out = int(n_in), int(n_out)
-        pos += 1
-        w = np.array(
-            [[float(t) for t in lines[pos + r].split()] for r in range(n_in)]
-        )
-        pos += n_in
-        btoks = lines[pos].split()
-        assert btoks[0] == "bias"
-        b = np.array([float(t) for t in btoks[1:]])
-        pos += 1
-        if w.shape != (n_in, n_out) or b.shape != (n_out,):
-            raise ValueError(f"{path}: malformed layer block")
-        params.append((w, b))
+    try:
+        n_layers = int(lines[2].split()[1])
+        pos = 3
+        for i in range(n_layers):
+            _, _, n_in, n_out = lines[pos].split()
+            n_in, n_out = int(n_in), int(n_out)
+            pos += 1
+            w = np.array(
+                [[float(t) for t in lines[pos + r].split()] for r in range(n_in)]
+            )
+            pos += n_in
+            btoks = lines[pos].split()
+            if not btoks or btoks[0] != "bias":
+                raise ValueError(f"{path}: layer {i} has no bias line")
+            b = np.array([float(t) for t in btoks[1:]])
+            pos += 1
+            if w.shape != (n_in, n_out) or b.shape != (n_out,):
+                raise ValueError(f"{path}: malformed layer block")
+            params.append((w, b))
+    except IndexError:
+        raise ValueError(f"{path}: truncated parameter file") from None
     return params
 
 

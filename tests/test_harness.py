@@ -291,7 +291,42 @@ def test_failed_cell_isolated(monkeypatch):
     with np.errstate(all="ignore"):
         rows = run_experiment(cfg)
     assert len(rows) == 2
-    assert all(r.failed for r in rows)
+    assert all(r.failed.startswith("diverged at epoch ") for r in rows)
+
+
+def test_cell_error_other_than_divergence_propagates(monkeypatch):
+    # Serial mode: a bug inside training ends the run instead of being
+    # recorded as a diverged cell.
+    from costbench.losses import BoundLoss
+
+    original = BoundLoss.batch
+    calls = []
+
+    def buggy_batch(self, scores, ys):
+        calls.append(None)
+        if len(calls) == 5:
+            raise ValueError("index bug in the loss")
+        return original(self, scores, ys)
+
+    monkeypatch.setattr(BoundLoss, "batch", buggy_batch)
+    with pytest.raises(ValueError, match="index bug"):
+        run_experiment(SMALL_CFG)
+
+
+# sha256 of the rows CSV of GUARD_CFG, taken from the training loop that
+# evaluated the loss three times per epoch; any change to training or
+# evaluation arithmetic moves it.
+GUARD_CFG = ExperimentConfig(n_seeds=2, n_epochs=50, workers=1)
+GUARD_ROWS_SHA256 = "f395afff2398204ca648bef500d03d1cd57401e728e3d9ac3bcdcb7e12f66e51"
+
+
+def test_rows_csv_bytes_pinned(tmp_path):
+    import hashlib
+
+    assert len(GUARD_CFG.losses) == 5
+    path = tmp_path / "rows.csv"
+    write_rows_csv(run_experiment(GUARD_CFG), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GUARD_ROWS_SHA256
 
 
 def test_missing_uci_dataset_aborts(tmp_path, monkeypatch):

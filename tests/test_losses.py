@@ -10,15 +10,23 @@ from costbench.costs import (
     synthetic_cost_matrix,
     zero_one_matrix,
 )
-from costbench.embedding import build_embedding_surrogate, surrogate_value
+from costbench.embedding import (
+    build_embedding_surrogate,
+    surrogate_subgradients,
+    surrogate_value,
+    surrogate_values,
+)
 from costbench.losses import (
     BoundLoss,
     DecisionRule,
     LossSpec,
+    NonFiniteScores,
     class_weights,
     cross_entropy,
     decide,
     decide_batch,
+    embedding_raw_batch,
+    embedding_softmax_batch,
     embedding_softmax_loss,
     postprocess_search,
     scaled_cross_entropy,
@@ -54,7 +62,9 @@ def test_ce_huge_scores_stable():
 
 
 def test_ce_rejects_non_finite():
-    with pytest.raises(ValueError):
+    # A ValueError subclass, so the CLI still exits 2 on non-finite input.
+    assert issubclass(NonFiniteScores, ValueError)
+    with pytest.raises(NonFiniteScores):
         cross_entropy(np.array([np.inf, 0.0]), 0)
 
 
@@ -163,6 +173,37 @@ def test_embedding_softmax_gradient_finite_difference(student_surrogate, rng):
 def test_embedding_softmax_wrong_width(student_surrogate):
     with pytest.raises(ValueError):
         embedding_softmax_loss(student_surrogate, np.zeros(4), 0)
+
+
+@pytest.mark.parametrize("name", ["student", "alpha6", "deferral", "zero_one4"])
+def test_fused_embedding_batches_match_separate_calls(name, rng):
+    from costbench.costs import german_credit_deferral_matrix
+
+    cost = {"student": STUDENT, "alpha6": ALPHA6,
+            "deferral": german_credit_deferral_matrix(),
+            "zero_one4": zero_one_matrix(4)}[name]
+    s = build_embedding_surrogate(cost)
+    # Random points, the embedded points (where several vertices tie) and
+    # the midpoints between them.
+    phi = s.phi
+    mids = (phi[:, None, :] + phi[None, :, :]).reshape(-1, phi.shape[1]) / 2.0
+    U = np.vstack([rng.normal(scale=2.0, size=(200, phi.shape[1])), phi, mids])
+    ys = rng.integers(0, s.n_labels, len(U))
+    vals, grads = embedding_raw_batch(s, U, ys)
+    assert np.array_equal(vals, surrogate_values(s, U, ys))
+    assert np.array_equal(grads, surrogate_subgradients(s, U, ys))
+
+    rep_phi = s.phi[list(s.representative_set)]
+    logits = np.vstack([rng.normal(scale=3.0, size=(200, len(rep_phi))),
+                        np.zeros((1, len(rep_phi)))])
+    ys = rng.integers(0, s.n_labels, len(logits))
+    q = softmax(logits)
+    U = q @ rep_phi
+    proj = surrogate_subgradients(s, U, ys) @ rep_phi.T
+    want_grads = q * (proj - (q * proj).sum(axis=1, keepdims=True))
+    vals, grads = embedding_softmax_batch(s, logits, ys)
+    assert np.array_equal(vals, surrogate_values(s, U, ys))
+    assert np.array_equal(grads, want_grads)
 
 
 # --- loss specs ----------------------------------------------------------------

@@ -6,6 +6,7 @@ from costbench.losses import BoundLoss, DecisionRule, LossSpec
 from costbench.models import (
     ModelSpec,
     TrainConfig,
+    TrainedModel,
     TrainingDiverged,
     evaluate,
     export_history_csv,
@@ -13,6 +14,7 @@ from costbench.models import (
     gradient_check,
     init_model,
     load_params,
+    mean_loss_and_param_grads,
     n_parameters,
     save_params,
     train,
@@ -169,6 +171,26 @@ def test_divergence_raises_with_epoch(rng):
     assert err.value.epoch >= 1
 
 
+def test_plain_value_error_is_not_divergence(rng):
+    # A bug inside a step (here: the fourth loss call) must surface as itself,
+    # not as "diverged".
+    class BuggyLoss(BoundLoss):
+        calls = 0
+
+        def batch(self, scores, ys):
+            self.calls += 1
+            if self.calls == 4:
+                raise ValueError("index bug in the loss")
+            return super().batch(scores, ys)
+
+    x, y = make_blobs(30, rng)
+    loss = BuggyLoss(LossSpec("cross_entropy", ALPHA6))
+    with pytest.raises(ValueError, match="index bug"):
+        train(ModelSpec("linear", 2, 2, init_seed=0), loss,
+              (x[:20], y[:20]), (x[20:], y[20:]),
+              TrainConfig(learning_rate=0.1, n_epochs=10))
+
+
 def test_empty_split_rejected(rng):
     x, y = make_blobs(10, rng)
     loss = BoundLoss(LossSpec("cross_entropy", ALPHA6))
@@ -299,6 +321,27 @@ def test_params_load_rejects_garbage(tmp_path):
         load_params(bad)
 
 
+def test_params_load_rejects_missing_bias_line(tmp_path, rng):
+    x, y = make_blobs(20, rng)
+    loss = BoundLoss(LossSpec("cross_entropy", ALPHA6))
+    model = train(ModelSpec("linear", 2, 2, init_seed=0), loss,
+                  (x[:15], y[:15]), (x[15:], y[15:]),
+                  TrainConfig(learning_rate=0.1, n_epochs=3))
+    path = tmp_path / "params.txt"
+    save_params(model, path)
+    lines = path.read_text().splitlines()
+    assert lines[-1].startswith("bias ")
+    path.write_text("\n".join(lines[:-1] + ["0.0 0.0"]) + "\n")
+    with pytest.raises(ValueError, match="params.txt"):
+        load_params(path)
+    path.write_text("\n".join(lines[:-1]) + "\n")
+    with pytest.raises(ValueError, match="params.txt"):
+        load_params(path)
+    path.write_text("\n".join(lines[:2]) + "\n")
+    with pytest.raises(ValueError, match="params.txt"):
+        load_params(path)
+
+
 def test_history_csv_export(tmp_path, rng):
     x, y = make_blobs(30, rng)
     loss = BoundLoss(LossSpec("cross_entropy", ALPHA6))
@@ -312,3 +355,172 @@ def test_history_csv_export(tmp_path, rng):
     assert len(lines) == 7  # header + epochs 0..5
     epoch, tl, vl = lines[1].split(",")
     assert float(tl) == model.history[0, 0]
+
+
+# --- fused epoch against the reference loop ------------------------------------------
+
+
+def _reference_mean_loss(params, loss, x, y):
+    vals, _ = loss.batch(forward(params, x), y)
+    return float(vals.mean())
+
+
+def reference_train(spec, loss, train_xy, val_xy, cfg, selection_metric=None):
+    """The training loop that evaluates the loss three times per epoch.
+
+    The train split's loss comes from a separate forward pass after each
+    step, and every ValueError from a step counts as divergence. `train`
+    must reproduce its history, best epoch, parameters and divergence epoch
+    bit for bit.
+    """
+    x_tr, y_tr = np.asarray(train_xy[0], float), np.asarray(train_xy[1], int)
+    x_va, y_va = np.asarray(val_xy[0], float), np.asarray(val_xy[1], int)
+    params = init_model(spec)
+    rng = np.random.default_rng(cfg.seed)
+
+    def epoch_losses():
+        return (_reference_mean_loss(params, loss, x_tr, y_tr),
+                _reference_mean_loss(params, loss, x_va, y_va))
+
+    def selection_value():
+        if selection_metric is None:
+            return _reference_mean_loss(params, loss, x_va, y_va)
+        return float(selection_metric(params))
+
+    def step(grads):
+        return [(w - cfg.learning_rate * gw, b - cfg.learning_rate * gb)
+                for (w, b), (gw, gb) in zip(params, grads)]
+
+    history = np.empty((cfg.n_epochs + 1, 2))
+    history[0] = epoch_losses()
+    best_epoch = 0
+    best_val = selection_value()
+    best_params = [(w.copy(), b.copy()) for w, b in params]
+    for epoch in range(1, cfg.n_epochs + 1):
+        try:
+            if cfg.batch_size is None:
+                _, grads = mean_loss_and_param_grads(params, loss, x_tr, y_tr)
+                params = step(grads)
+            else:
+                order = rng.permutation(len(x_tr))
+                for start in range(0, len(x_tr), cfg.batch_size):
+                    idx = order[start : start + cfg.batch_size]
+                    _, grads = mean_loss_and_param_grads(params, loss, x_tr[idx], y_tr[idx])
+                    params = step(grads)
+            tl, vl = epoch_losses()
+        except ValueError as exc:
+            raise TrainingDiverged(epoch) from exc
+        if not (np.isfinite(tl) and np.isfinite(vl)):
+            raise TrainingDiverged(epoch)
+        history[epoch] = (tl, vl)
+        sel = vl if selection_metric is None else float(selection_metric(params))
+        if sel < best_val:
+            best_val = sel
+            best_epoch = epoch
+            best_params = [(w.copy(), b.copy()) for w, b in params]
+    return TrainedModel(spec, loss, best_params, history, best_epoch)
+
+
+LOSS_KIND_NAMES = ("cross_entropy", "scaled_cross_entropy", "embedding",
+                   "embedding_softmax", "weighted_hinge")
+TRAIN_MODES = {
+    "linear_full_batch": (dict(kind="linear"), dict(learning_rate=1.0, n_epochs=60)),
+    "linear_minibatch": (dict(kind="linear"),
+                         dict(learning_rate=0.5, n_epochs=25, batch_size=32, seed=11)),
+    "mlp_full_batch": (dict(kind="mlp", hidden_dims=(16, 16)),
+                       dict(learning_rate=0.05, n_epochs=40)),
+}
+
+
+@pytest.fixture(scope="module")
+def synthetic_splits():
+    from costbench.data import sample_synthetic
+
+    ds = sample_synthetic(200, rng_seed=21)
+    x, y = ds.features, ds.labels
+    return (x[:120], y[:120]), (x[120:], y[120:])
+
+
+def _assert_same_model(got, want):
+    assert np.array_equal(got.history, want.history)
+    assert got.best_epoch == want.best_epoch
+    for (w, b), (wr, br) in zip(got.params, want.params):
+        assert np.array_equal(w, wr) and np.array_equal(b, br)
+
+
+@pytest.mark.parametrize("selection", ["val_loss", "val_csl"])
+@pytest.mark.parametrize("mode", sorted(TRAIN_MODES))
+@pytest.mark.parametrize("kind", LOSS_KIND_NAMES)
+def test_train_matches_reference_loop(kind, mode, selection, synthetic_splits):
+    from costbench.costs import confusion, cost_sensitive_loss
+
+    cost = synthetic_cost_matrix(1 / 6)
+    loss = BoundLoss(LossSpec(kind, cost))
+    tr, va = synthetic_splits
+    spec_kw, cfg_kw = TRAIN_MODES[mode]
+    spec = ModelSpec(in_dim=2, out_dim=loss.out_dim, init_seed=5, **spec_kw)
+    cfg = TrainConfig(**cfg_kw)
+    metric = None
+    if selection == "val_csl":
+        rule = loss.default_rule()
+
+        def metric(params):
+            preds = loss.decide_batch(forward(params, va[0]), rule)
+            return cost_sensitive_loss(
+                confusion(preds, va[1], cost.n_reports, cost.n_labels), cost)
+
+    got = train(spec, loss, tr, va, cfg, selection_metric=metric)
+    want = reference_train(spec, loss, tr, va, cfg, selection_metric=metric)
+    _assert_same_model(got, want)
+    if selection == "val_loss":
+        assert got.best_epoch > 0  # selection moved off the initial model
+
+
+class CappedLoss(BoundLoss):
+    """Reports an infinite loss once any score's magnitude passes `cap`."""
+
+    cap = np.inf
+
+    def batch(self, scores, ys):
+        vals, grads = super().batch(scores, ys)
+        if np.abs(scores).max() > self.cap:
+            vals = vals + np.inf
+        return vals, grads
+
+
+def _diverged_epoch(fn, *args):
+    with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as err:
+        fn(*args)
+    return err.value.epoch
+
+
+@pytest.mark.parametrize("kind", ["cross_entropy", "scaled_cross_entropy",
+                                  "embedding", "weighted_hinge"])
+def test_divergence_epoch_matches_reference(kind, synthetic_splits):
+    # Steps of 1e20 overflow this MLP's activations within a few updates.
+    loss = BoundLoss(LossSpec(kind, synthetic_cost_matrix(1 / 6)))
+    tr, va = synthetic_splits
+    args = (ModelSpec("mlp", 2, loss.out_dim, hidden_dims=(16, 16), init_seed=1),
+            loss, tr, va, TrainConfig(learning_rate=1e20, n_epochs=30))
+    epoch = _diverged_epoch(reference_train, *args)
+    assert epoch > 1
+    assert _diverged_epoch(train, *args) == epoch
+
+
+def test_divergence_seen_only_on_train_split_keeps_its_epoch():
+    # An outlier only the train split holds: its score passes the cap after
+    # update 4 while every validation score stays below it, so the fused loop
+    # sees the infinite train loss one step late and must still report epoch 4.
+    from costbench.data import sample_synthetic
+
+    ds = sample_synthetic(60, rng_seed=3)
+    x_tr, y_tr = ds.features[:40].copy(), ds.labels[:40]
+    x_tr[0] = (50.0, 0.0)
+    va = (ds.features[40:], ds.labels[40:])
+    loss = CappedLoss(LossSpec("cross_entropy", synthetic_cost_matrix(1 / 6)))
+    loss.cap = 55.0
+    args = (ModelSpec("linear", 2, 2, init_seed=1), loss, (x_tr, y_tr), va,
+            TrainConfig(learning_rate=1.0, n_epochs=10))
+    epoch = _diverged_epoch(reference_train, *args)
+    assert epoch == 4
+    assert _diverged_epoch(train, *args) == epoch
