@@ -35,7 +35,6 @@ from .embedding import (
     surrogate_value,
     verify_alpha_separation,
     verify_embedding,
-    weighted_hinge,
 )
 from .losses import (
     BoundLoss,

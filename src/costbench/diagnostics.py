@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import CostMatrix, SimplexDist, bayes_risk, simplex_grid
+from .costs import CostMatrix, simplex_grid
 from .data import posterior_pos_many, sample_synthetic
 from .embedding import EmbeddingSurrogate, game_values, link_many, sample_predictions
 from .losses import log_softmax
@@ -238,19 +238,14 @@ def minimizability_gap(
 
     scores = forward(trained_model.params, features)
     U = trained_model.loss.link_input(scores)
-    per_point = np.empty(len(features))
-    for i in range(len(features)):
-        c = float(risk.cond_risk(U[i : i + 1], posteriors[i])[0])
-        per_point[i] = c - risk.min_cond_risk(posteriors[i])
+    cond = np.array([risk.cond_risk(u[None, :], p)[0] for u, p in zip(U, posteriors)])
+    best = np.array([risk.min_cond_risk(p) for p in posteriors])
+    per_point = cond - best
     return GapEstimate(
         gap=float(per_point.mean()),
         stderr=float(per_point.std(ddof=1) / np.sqrt(len(per_point))),
-        in_class_risk=float(
-            np.mean([risk.cond_risk(U[i : i + 1], posteriors[i])[0] for i in range(len(features))])
-        ),
-        pointwise_risk=float(
-            np.mean([risk.min_cond_risk(posteriors[i]) for i in range(len(features))])
-        ),
+        in_class_risk=float(cond.mean()),
+        pointwise_risk=float(best.mean()),
     )
 
 
@@ -301,11 +296,6 @@ def boundary_slope(model, label: str = "") -> SlopeReport:
 def optimal_boundary_slope(alpha: float) -> float:
     """Slope of the cost-optimal boundary x1 = (x2/2) log(alpha/(1-alpha))."""
     return 0.5 * math.log(alpha / (1.0 - alpha))
-
-
-def example1_geometry(models: dict[str, object], alpha: float) -> dict[str, SlopeReport]:
-    """Boundary slopes for a dict of trained binary linear models."""
-    return {label: boundary_slope(m, label) for label, m in models.items()}
 
 
 def export_slopes_csv(reports: dict[str, SlopeReport], alpha: float, path) -> None:

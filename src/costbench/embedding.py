@@ -29,7 +29,6 @@ from .costs import (
     TIE_EPS,
     CostMatrix,
     SimplexDist,
-    bayes_risk,
     simplex_grid,
 )
 
@@ -56,6 +55,8 @@ class EmbeddingSurrogate:
     report_class: tuple[int, ...] = ()
     # Cost-optimal representative reports at each game vertex, ascending.
     vertex_reports: tuple[tuple[int, ...], ...] = field(default=(), repr=False)
+    # phi of the representative reports, in representative_set order.
+    rep_phi: np.ndarray = field(default=None, repr=False)
 
     @property
     def n_labels(self) -> int:
@@ -120,12 +121,6 @@ def quotient_dist(u: np.ndarray, v: np.ndarray) -> float:
     """Infinity distance between u and v modulo constant shifts."""
     d = np.asarray(u, dtype=float) - np.asarray(v, dtype=float)
     return float(d.max() - d.min()) / 2.0
-
-
-def canonicalize(u: np.ndarray) -> np.ndarray:
-    """Shift u so its maximum coordinate is 0 (a display normal form)."""
-    u = np.asarray(u, dtype=float)
-    return u - u.max()
 
 
 def _enumerate_game_vertices(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -246,6 +241,7 @@ def build_embedding_surrogate(
         verts_t=_freeze(verts_t),
         report_class=tuple(report_class),
         vertex_reports=tuple(vertex_reports),
+        rep_phi=_freeze(rep_phi),
     )
 
 
@@ -591,55 +587,8 @@ def verify_alpha_separation(
 
 
 # ---------------------------------------------------------------------------
-# Binary specialization: the weighted hinge on a scalar prediction axis.
+# Binary specialization: the weighted hinge's scalar prediction axis.
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class WeightedHinge:
-    """Scalar-prediction surrogate for the binary alpha cost matrix.
-
-    L(u, +1) = ((1-alpha)/2) * max(0, 1-u), L(u, -1) = (alpha/2) * max(0, 1+u);
-    the linked decision is sign(u) with ties sent to -1. Embedded points are
-    u = -1 and u = +1, where the loss values reproduce the cost entries.
-    scale handles positively rescaled alpha matrices (e.g. integer costs).
-    """
-
-    alpha: float
-    scale: float = 1.0
-
-    def __post_init__(self):
-        if not 0 < self.alpha < 1:
-            raise ValueError("alpha must lie strictly between 0 and 1")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
-
-    def value(self, u: float, y: int) -> float:
-        """y is the label index: 0 for -1, 1 for +1."""
-        if y == 1:
-            return self.scale * (1.0 - self.alpha) / 2.0 * max(0.0, 1.0 - u)
-        if y == 0:
-            return self.scale * self.alpha / 2.0 * max(0.0, 1.0 + u)
-        raise IndexError("binary label index must be 0 or 1")
-
-    def grad(self, u: float, y: int) -> float:
-        if y == 1:
-            return -self.scale * (1.0 - self.alpha) / 2.0 if u < 1.0 else 0.0
-        if y == 0:
-            return self.scale * self.alpha / 2.0 if u > -1.0 else 0.0
-        raise IndexError("binary label index must be 0 or 1")
-
-    def link(self, u: float) -> int:
-        """Report index: 1 for +1 when u > 0, else 0 (ties to -1)."""
-        return 1 if u > 0 else 0
-
-    @property
-    def embedded_points(self) -> tuple[float, float]:
-        return (-1.0, 1.0)
-
-
-def weighted_hinge(alpha: float) -> WeightedHinge:
-    return WeightedHinge(alpha)
 
 
 def binary_to_scalar(s: EmbeddingSurrogate, U: np.ndarray) -> np.ndarray:

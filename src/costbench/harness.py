@@ -22,12 +22,11 @@ import numpy as np
 
 from . import data as data_mod
 from .costs import CostMatrix, synthetic_cost_matrix
-from .losses import BoundLoss, DecisionRule, LossSpec, postprocess_search
+from .losses import LOSS_KINDS, BoundLoss, LossSpec, postprocess_search
 from .models import (
     DEFAULT_HIDDEN_DIMS,
     ModelSpec,
     TrainConfig,
-    TrainedModel,
     TrainingDiverged,
     evaluate,
     forward,
@@ -43,14 +42,8 @@ DATASET_NAMES = (
     "diabetes",
 )
 
-LOSS_LABELS = (
-    "cross_entropy",
-    "cross_entropy_post",
-    "embedding",
-    "embedding_softmax",
-    "scaled_cross_entropy",
-    "weighted_hinge",
-)
+# cross_entropy_post: cross-entropy decided by postprocess_search's weighted argmax.
+LOSS_LABELS = LOSS_KINDS + ("cross_entropy_post",)
 
 
 class ConfigError(ValueError):
@@ -89,9 +82,13 @@ class ExperimentConfig:
             raise ConfigError(f"unknown dataset {self.dataset!r}")
         if self.n_seeds < 1:
             raise ConfigError("n_seeds must be >= 1")
+        if not self.losses:
+            raise ConfigError("losses must name at least one loss")
         for label in self.losses:
             if label not in LOSS_LABELS:
                 raise ConfigError(f"unknown loss label {label!r}")
+        if len(set(self.losses)) != len(self.losses):
+            raise ConfigError(f"losses name a loss more than once: {self.losses}")
         if self.model_kind not in ("linear", "mlp"):
             raise ConfigError(f"unknown model kind {self.model_kind!r}")
         if self.selection not in ("val_loss", "val_csl"):
@@ -176,14 +173,47 @@ def read_rows_csv(path) -> list[ResultRow]:
 # Config file parsing: flat key = value with [section] headers (INI).
 # ---------------------------------------------------------------------------
 
-_KEY_SECTIONS = {
-    "experiment": {"dataset", "n_samples", "alpha", "losses", "n_seeds",
-                   "master_seed", "workers"},
-    "model": {"kind", "hidden_dims"},
-    "train": {"learning_rate", "n_epochs", "batch_size", "selection"},
-    "postprocess": {"n_candidates"},
-    "output": {"rows_csv", "table", "format"},
+def _parse_fraction(text: str) -> float:
+    text = text.strip()
+    if "/" in text:
+        num, den = text.split("/")
+        return float(num) / float(den)
+    return float(text)
+
+
+def _parse_names(text: str) -> tuple[str, ...]:
+    return tuple(t.strip() for t in text.split(",") if t.strip())
+
+
+def _parse_ints(text: str) -> tuple[int, ...]:
+    return tuple(int(t) for t in text.split(",") if t.strip())
+
+
+def _parse_batch_size(text: str) -> int | None:
+    return None if text.strip() in ("", "full") else int(text)
+
+
+# (section, key) in a config file -> (ExperimentConfig field, value parser).
+_CONFIG_KEYS = {
+    ("experiment", "dataset"): ("dataset", str.strip),
+    ("experiment", "n_samples"): ("n_samples", int),
+    ("experiment", "alpha"): ("alpha", _parse_fraction),
+    ("experiment", "losses"): ("losses", _parse_names),
+    ("experiment", "n_seeds"): ("n_seeds", int),
+    ("experiment", "master_seed"): ("master_seed", int),
+    ("experiment", "workers"): ("workers", int),
+    ("model", "kind"): ("model_kind", str.strip),
+    ("model", "hidden_dims"): ("hidden_dims", _parse_ints),
+    ("train", "learning_rate"): ("learning_rate", float),
+    ("train", "n_epochs"): ("n_epochs", int),
+    ("train", "batch_size"): ("batch_size", _parse_batch_size),
+    ("train", "selection"): ("selection", str.strip),
+    ("postprocess", "n_candidates"): ("postprocess_candidates", int),
+    ("output", "rows_csv"): ("rows_csv", str.strip),
+    ("output", "table"): ("table_path", str.strip),
+    ("output", "format"): ("table_format", str.strip),
 }
+_CONFIG_SECTIONS = {section for section, _ in _CONFIG_KEYS}
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -195,72 +225,24 @@ def parse_config(path) -> ExperimentConfig:
         parser.read(path)
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    for section in parser.sections():
-        if section not in _KEY_SECTIONS:
-            raise ConfigError(f"{path}: unknown section [{section}]")
-        for key in parser[section]:
-            if key not in _KEY_SECTIONS[section]:
-                raise ConfigError(f"{path}: unknown key {key!r} in [{section}]")
-
     kwargs = {}
-    exp = parser["experiment"] if parser.has_section("experiment") else {}
-    if "dataset" in exp:
-        kwargs["dataset"] = exp["dataset"].strip()
-    if "n_samples" in exp:
-        kwargs["n_samples"] = int(exp["n_samples"])
-    if "alpha" in exp:
-        kwargs["alpha"] = _parse_fraction(exp["alpha"])
-    if "losses" in exp:
-        kwargs["losses"] = tuple(t.strip() for t in exp["losses"].split(",") if t.strip())
-    if "n_seeds" in exp:
-        kwargs["n_seeds"] = int(exp["n_seeds"])
-    if "master_seed" in exp:
-        kwargs["master_seed"] = int(exp["master_seed"])
-    if "workers" in exp:
-        kwargs["workers"] = int(exp["workers"])
-    if parser.has_section("model"):
-        sec = parser["model"]
-        if "kind" in sec:
-            kwargs["model_kind"] = sec["kind"].strip()
-        if "hidden_dims" in sec:
-            kwargs["hidden_dims"] = tuple(
-                int(t) for t in sec["hidden_dims"].split(",") if t.strip()
-            )
-    if parser.has_section("train"):
-        sec = parser["train"]
-        if "learning_rate" in sec:
-            kwargs["learning_rate"] = float(sec["learning_rate"])
-        if "n_epochs" in sec:
-            kwargs["n_epochs"] = int(sec["n_epochs"])
-        if "batch_size" in sec:
-            text = sec["batch_size"].strip()
-            kwargs["batch_size"] = None if text in ("", "full") else int(text)
-        if "selection" in sec:
-            kwargs["selection"] = sec["selection"].strip()
-    if parser.has_section("postprocess"):
-        sec = parser["postprocess"]
-        if "n_candidates" in sec:
-            kwargs["postprocess_candidates"] = int(sec["n_candidates"])
-    if parser.has_section("output"):
-        sec = parser["output"]
-        if "rows_csv" in sec:
-            kwargs["rows_csv"] = sec["rows_csv"].strip()
-        if "table" in sec:
-            kwargs["table_path"] = sec["table"].strip()
-        if "format" in sec:
-            kwargs["table_format"] = sec["format"].strip()
+    for section in parser.sections():
+        if section not in _CONFIG_SECTIONS:
+            raise ConfigError(f"{path}: unknown section [{section}]")
+        for key, text in parser[section].items():
+            if (section, key) not in _CONFIG_KEYS:
+                raise ConfigError(f"{path}: unknown key {key!r} in [{section}]")
+            name, parse = _CONFIG_KEYS[section, key]
+            try:
+                kwargs[name] = parse(text)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ConfigError(
+                    f"{path}: bad value for {key!r} in [{section}]: {exc}"
+                ) from exc
     try:
         return ExperimentConfig(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-
-
-def _parse_fraction(text: str) -> float:
-    text = text.strip()
-    if "/" in text:
-        num, den = text.split("/")
-        return float(num) / float(den)
-    return float(text)
 
 
 # ---------------------------------------------------------------------------
@@ -272,23 +254,12 @@ def load_dataset(cfg: ExperimentConfig, split_seed: int):
     """Dataset + cost matrix + splits for one seed index."""
     if cfg.dataset == "synthetic":
         ds = data_mod.sample_synthetic(cfg.n_samples, rng_seed=split_seed)
-        ds = replace_source_alpha(ds, cfg.alpha)
+        ds = replace(ds, source={**ds.source, "alpha": cfg.alpha})
         cost = synthetic_cost_matrix(cfg.alpha)
-        splits = data_mod.subsample_and_split(
-            ds, cfg.n_samples, cfg.fractions, seed=split_seed
-        )
     else:
         ds, cost = data_mod.load_uci(cfg.dataset)
-        splits = data_mod.subsample_and_split(
-            ds, cfg.n_samples, cfg.fractions, seed=split_seed
-        )
+    splits = data_mod.subsample_and_split(ds, cfg.n_samples, cfg.fractions, seed=split_seed)
     return ds, cost, splits
-
-
-def replace_source_alpha(ds, alpha: float):
-    source = dict(ds.source)
-    source["alpha"] = alpha
-    return data_mod.Dataset(ds.features, ds.labels, ds.label_map, source, ds.preprocessing)
 
 
 def make_loss(label: str, cost: CostMatrix) -> BoundLoss:
@@ -340,12 +311,6 @@ def run_cell(cfg: ExperimentConfig, label: str, seed_index: int) -> ResultRow:
                 rng_seed=mix_seed(cell_seed, "post"),
             )
         result = evaluate(model, rule, te, cost)
-        per_sample_costs = cost.entries[
-            model.loss.decide_batch(model.scores(te[0]), rule), te[1]
-        ]
-        test_cost_se = float(
-            per_sample_costs.std(ddof=1) / np.sqrt(len(per_sample_costs))
-        ) if len(per_sample_costs) > 1 else 0.0
         slope = None
         if cfg.model_kind == "linear" and ds.n_features == 2 and spec.out_dim <= 2:
             from .diagnostics import boundary_slope
@@ -363,7 +328,7 @@ def run_cell(cfg: ExperimentConfig, label: str, seed_index: int) -> ResultRow:
             test_loss=result.surrogate_loss,
             wall_time=time.perf_counter() - start,
             confusion=result.confusion,
-            test_cost_se=test_cost_se,
+            test_cost_se=result.cost_se,
             boundary_slope=slope,
         )
     except TrainingDiverged as exc:

@@ -9,7 +9,8 @@ check in the test suite.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -127,7 +128,7 @@ def embedding_softmax_batch(
     """
     logits = _check_scores(logits)
     ys = np.asarray(ys, dtype=int)
-    rep_phi = s.phi[list(s.representative_set)]
+    rep_phi = s.rep_phi
     if logits.shape[1] != len(rep_phi):
         raise ValueError(
             f"logits must have one entry per representative report "
@@ -150,21 +151,48 @@ def embedding_softmax_loss(
     return float(vals[0]), grads[0]
 
 
-def weighted_hinge_batch(hinge, U: np.ndarray, ys: np.ndarray):
-    """Scalar hinge on a (n, 1) score column."""
+def weighted_hinge_batch(a: float, scale: float, U: np.ndarray, ys: np.ndarray):
+    """Scalar hinge on a (n, 1) score column, a = c_fp / (c_fp + c_fn).
+
+    L(u, 1) = scale (1-a)/2 max(0, 1-u) and L(u, 0) = scale a/2 max(0, 1+u)
+    reproduce the costs at the embedded points u = -1 and u = +1, with
+    scale = c_fp + c_fn; the linked decision is sign(u), ties to label 0.
+    """
     U = _check_scores(U)
     u = U[:, 0]
     ys = np.asarray(ys, dtype=int)
     pos = ys == 1
-    a, s = hinge.alpha, hinge.scale
-    vals = s * np.where(
+    vals = scale * np.where(
         pos,
         (1.0 - a) / 2.0 * np.maximum(0.0, 1.0 - u),
         a / 2.0 * np.maximum(0.0, 1.0 + u),
     )
-    grads = s * np.where(pos, np.where(u < 1.0, -(1.0 - a) / 2.0, 0.0),
-                         np.where(u > -1.0, a / 2.0, 0.0))
+    grads = scale * np.where(pos, np.where(u < 1.0, -(1.0 - a) / 2.0, 0.0),
+                             np.where(u > -1.0, a / 2.0, 0.0))
     return vals, grads[:, None]
+
+
+def _softmax_link(s: EmbeddingSurrogate, logits: np.ndarray) -> np.ndarray:
+    """The convex combination of embedded points that softmax(logits) weights."""
+    return softmax(logits) @ s.rep_phi
+
+
+def _smooth_kink_margin(scores: np.ndarray) -> np.ndarray:
+    return np.full(len(scores), np.inf)
+
+
+def _hinge_kink_margin(scores: np.ndarray) -> np.ndarray:
+    u = scores[:, 0]
+    return np.minimum(np.abs(1.0 - u), np.abs(1.0 + u))
+
+
+def _vertex_gap(s: EmbeddingSurrogate, U: np.ndarray) -> np.ndarray:
+    """Gap between the two best game vertices: zero where G has a kink."""
+    vertex_scores = U @ s.verts_p.T + s.verts_t
+    if vertex_scores.shape[1] < 2:
+        return np.full(len(U), np.inf)
+    part = np.partition(vertex_scores, -2, axis=1)
+    return part[:, -1] - part[:, -2]
 
 
 # ---------------------------------------------------------------------------
@@ -174,16 +202,15 @@ def weighted_hinge_batch(hinge, U: np.ndarray, ys: np.ndarray):
 
 @dataclass(frozen=True, eq=False)
 class LossSpec:
-    """A loss kind plus the cost matrix it is tied to (if any)."""
+    """A loss kind plus the cost matrix it is tied to."""
 
     kind: str
     cost: CostMatrix | None = None
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss kind {self.kind!r}; one of {LOSS_KINDS}")
-        if self.kind != "cross_entropy" and self.cost is None:
+        if self.cost is None:
             raise ValueError(f"{self.kind} requires a cost matrix")
         if self.kind == "weighted_hinge":
             c = self.cost.entries
@@ -194,66 +221,59 @@ class LossSpec:
 
 
 class BoundLoss:
-    """A LossSpec materialized for training: batched values/grads and linking."""
+    """A LossSpec materialized for training: batched values/grads and linking.
 
-    def __init__(self, spec: LossSpec, n_labels: int | None = None):
-        self.spec = spec
+    The constructor is the one place that dispatches on the loss kind. It
+    resolves, once per loss, the batch function, the model output width, the
+    default decision rule, the map from scores to the rule's input space and
+    the kink margin used by gradient checks.
+    """
+
+    def __init__(self, spec: LossSpec):
         self.kind = spec.kind
-        self.cost = spec.cost
+        cost = spec.cost
         self.surrogate: EmbeddingSurrogate | None = None
-        self._hinge = None
-        if self.kind in ("embedding", "embedding_softmax"):
-            self.surrogate = build_embedding_surrogate(
-                spec.cost, spec.params.get("alpha_sep")
-            )
+        self.out_dim = cost.n_labels
+        self._link = None  # scores -> rule input; None is the identity
+        self._kink_margin = _smooth_kink_margin
+        self._rule = DecisionRule("argmax")
+        if self.kind == "cross_entropy":
+            self._batch = cross_entropy_batch
+        elif self.kind == "scaled_cross_entropy":
+            self._batch = partial(scaled_cross_entropy_batch, cost)
         elif self.kind == "weighted_hinge":
-            from .embedding import WeightedHinge
-
-            c_fp = float(spec.cost.entries[1, 0])
-            c_fn = float(spec.cost.entries[0, 1])
-            self._hinge = WeightedHinge(c_fp / (c_fp + c_fn), scale=c_fp + c_fn)
-        if n_labels is None and spec.cost is not None:
-            n_labels = spec.cost.n_labels
-        if n_labels is None:
-            raise ValueError("cross_entropy without a cost matrix needs n_labels")
-        self.n_labels = n_labels
-
-    @property
-    def out_dim(self) -> int:
-        """Model output width this loss trains against."""
-        if self.kind in ("cross_entropy", "scaled_cross_entropy"):
-            return self.n_labels
-        if self.kind == "embedding":
-            return self.surrogate.n_labels
-        if self.kind == "embedding_softmax":
-            return len(self.surrogate.representative_set)
-        return 1  # weighted_hinge
+            c_fp = float(cost.entries[1, 0])
+            c_fn = float(cost.entries[0, 1])
+            self._batch = partial(weighted_hinge_batch, c_fp / (c_fp + c_fn), c_fp + c_fn)
+            self.out_dim = 1
+            self._kink_margin = _hinge_kink_margin
+            self._rule = DecisionRule("sign")
+        else:  # embedding, embedding_softmax
+            s = self.surrogate = build_embedding_surrogate(cost)
+            self._rule = DecisionRule("embedding_link")
+            self._kink_margin = partial(_vertex_gap, s)
+            if self.kind == "embedding":
+                self._batch = partial(embedding_raw_batch, s)
+                self.out_dim = s.n_labels
+            else:
+                self._batch = partial(embedding_softmax_batch, s)
+                self._link = partial(_softmax_link, s)
+                self.out_dim = len(s.rep_phi)
 
     def batch(self, scores: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-sample loss values and gradients with respect to scores."""
-        if self.kind == "cross_entropy":
-            return cross_entropy_batch(scores, ys)
-        if self.kind == "scaled_cross_entropy":
-            return scaled_cross_entropy_batch(self.cost, scores, ys)
-        if self.kind == "embedding":
-            return embedding_raw_batch(self.surrogate, scores, ys)
-        if self.kind == "embedding_softmax":
-            return embedding_softmax_batch(self.surrogate, scores, ys)
-        return weighted_hinge_batch(self._hinge, scores, ys)
+        return self._batch(scores, ys)
 
     def link_input(self, scores: np.ndarray) -> np.ndarray:
         """Map raw model scores to the space the decision rule consumes."""
-        if self.kind == "embedding_softmax":
-            rep_phi = self.surrogate.phi[list(self.surrogate.representative_set)]
-            return softmax(scores) @ rep_phi
-        return scores
+        return scores if self._link is None else self._link(scores)
+
+    def kink_margin(self, scores: np.ndarray) -> np.ndarray:
+        """Per-sample distance proxy to the nearest non-smooth point of the loss."""
+        return self._kink_margin(self.link_input(np.asarray(scores, dtype=float)))
 
     def default_rule(self) -> "DecisionRule":
-        if self.kind in ("embedding", "embedding_softmax"):
-            return DecisionRule("embedding_link")
-        if self.kind == "weighted_hinge":
-            return DecisionRule("sign")
-        return DecisionRule("argmax")
+        return self._rule
 
     def decide_batch(self, scores: np.ndarray, rule: "DecisionRule") -> np.ndarray:
         return decide_batch(rule, self.link_input(scores), self.surrogate)

@@ -248,6 +248,7 @@ class EvalResult:
     accuracy: float | None
     confusion: np.ndarray
     surrogate_loss: float
+    cost_se: float  # standard error of the mean per-sample cost
 
 
 def evaluate(
@@ -256,7 +257,7 @@ def evaluate(
     split_xy: tuple[np.ndarray, np.ndarray],
     cost: CostMatrix,
 ) -> EvalResult:
-    """Cost-sensitive loss, accuracy (square matrices only) and surrogate loss."""
+    """Cost-sensitive loss, accuracy (square matrices only), surrogate loss, cost SE."""
     x, y = np.asarray(split_xy[0], float), np.asarray(split_xy[1], int)
     if len(x) == 0:
         raise ValueError("evaluation split is empty")
@@ -266,7 +267,9 @@ def evaluate(
     csl = cost_sensitive_loss(cm, cost)
     acc = cm_accuracy(cm) if cost.is_square else None
     vals, _ = model.loss.batch(scores, y)
-    return EvalResult(csl, acc, cm.counts, float(vals.mean()))
+    costs = cost.entries[preds, y]
+    se = float(costs.std(ddof=1) / np.sqrt(len(costs))) if len(costs) > 1 else 0.0
+    return EvalResult(csl, acc, cm.counts, float(vals.mean()), se)
 
 
 def gradient_check(
@@ -288,7 +291,7 @@ def gradient_check(
     y = np.asarray(y, dtype=int)
     params = init_model(spec)
     scores, acts = _forward_cache(params, x)
-    keep = loss_kink_margin(loss, scores) > kink_margin
+    keep = loss.kink_margin(scores) > kink_margin
     # ReLU pre-activations near zero also break finite differences.
     act = x
     for w, b in params[:-1]:
@@ -331,23 +334,6 @@ def gradient_check(
         denom = max(abs(fd), abs(flat_grads[c]), 1.0)
         worst = max(worst, abs(fd - flat_grads[c]) / denom)
     return worst
-
-
-def loss_kink_margin(loss: BoundLoss, scores: np.ndarray) -> np.ndarray:
-    """Per-sample distance proxy to the nearest non-smooth point of the loss."""
-    scores = np.asarray(scores, dtype=float)
-    if loss.kind in ("cross_entropy", "scaled_cross_entropy"):
-        return np.full(len(scores), np.inf)
-    if loss.kind == "weighted_hinge":
-        u = scores[:, 0]
-        return np.minimum(np.abs(1.0 - u), np.abs(1.0 + u))
-    s = loss.surrogate
-    u = loss.link_input(scores)
-    vertex_scores = u @ s.verts_p.T + s.verts_t
-    if vertex_scores.shape[1] < 2:
-        return np.full(len(scores), np.inf)
-    part = np.partition(vertex_scores, -2, axis=1)
-    return part[:, -1] - part[:, -2]
 
 
 # ---------------------------------------------------------------------------

@@ -242,7 +242,7 @@ def test_boundary_slope_degenerate_flagged():
 
 
 def test_example1_geometry_and_csv(tmp_path):
-    from costbench.diagnostics import example1_geometry, export_slopes_csv
+    from costbench.diagnostics import export_slopes_csv
 
     params_a = [(np.array([[0.0, 2.0], [0.0, 1.6]]), np.zeros(2))]
     params_b = [(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros(2))]
@@ -252,7 +252,7 @@ def test_example1_geometry_and_csv(tmp_path):
         "sloped": TrainedModel(spec, loss, params_a, np.zeros((1, 2)), 0),
         "vertical": TrainedModel(spec, loss, params_b, np.zeros((1, 2)), 0),
     }
-    reports = example1_geometry(models, 1 / 6)
+    reports = {label: boundary_slope(m, label) for label, m in models.items()}
     assert reports["sloped"].slope == pytest.approx(-0.8)
     assert reports["vertical"].slope == pytest.approx(0.0)
     path = tmp_path / "geometry.csv"

@@ -29,11 +29,25 @@ from costbench.embedding import (
     surrogate_value,
     verify_alpha_separation,
     verify_embedding,
-    weighted_hinge,
 )
+from costbench.losses import BoundLoss, DecisionRule, LossSpec, decide_batch
 
 ALPHA_QUARTER = binary_alpha_matrix(0.25)
 STUDENT = severity_three_class_matrix()
+HINGE_POINTS = (-1.0, 1.0)  # embedded points of reports 0 and 1 on the hinge axis
+
+
+def hinge(alpha):
+    return BoundLoss(LossSpec("weighted_hinge", binary_alpha_matrix(alpha)))
+
+
+def hinge_values(loss, us, y):
+    us = np.atleast_1d(np.asarray(us, dtype=float))
+    return loss.batch(us[:, None], np.full(len(us), y))[0]
+
+
+def hinge_link(us):
+    return decide_batch(DecisionRule("sign"), np.asarray(us, dtype=float)[:, None])
 
 
 @pytest.fixture(scope="module")
@@ -84,39 +98,39 @@ def test_alpha_sep_bounds_validated():
 def test_zero_one_binary_reduces_to_hinge():
     """The generic construction and the scalar hinge agree for 0-1 costs."""
     s = build_embedding_surrogate(zero_one_matrix(2))
-    hinge = weighted_hinge(0.5)
+    loss = hinge(0.5)
+    assert loss.default_rule().kind == "sign"
     rng = np.random.default_rng(3)
     U = rng.uniform(-4, 4, size=(10_000, 2))
     v = binary_to_scalar(s, U)
     generic = link_many(s, U)
-    scalar = np.array([hinge.link(t) for t in v])
+    scalar = loss.decide_batch(v[:, None], loss.default_rule())
     assert np.array_equal(generic, scalar)
     # The scalar hinge carries the cost values at half scale (its costs are
     # the normalized alpha form); the generic construction carries them 1:1.
     for r, y in [(0, 0), (0, 1), (1, 0), (1, 1)]:
         assert surrogate_value(s, s.phi[r], y) == pytest.approx(
-            2.0 * hinge.value(hinge.embedded_points[r], y), abs=1e-12
+            2.0 * hinge_values(loss, HINGE_POINTS[r], y)[0], abs=1e-12
         )
 
 
 def test_binary_alpha_hinge_values_match_at_embedded_points():
     for alpha in (1 / 6, 1 / 4):
         s = build_embedding_surrogate(binary_alpha_matrix(alpha))
-        hinge = weighted_hinge(alpha)
+        loss = hinge(alpha)
         for r, y in [(0, 0), (0, 1), (1, 0), (1, 1)]:
             assert surrogate_value(s, s.phi[r], y) == pytest.approx(
-                hinge.value(hinge.embedded_points[r], y), abs=1e-12
+                hinge_values(loss, HINGE_POINTS[r], y)[0], abs=1e-12
             )
 
 
 def test_binary_alpha_reparameterized_links_agree():
     for alpha in (1 / 6, 1 / 4):
         s = build_embedding_surrogate(binary_alpha_matrix(alpha))
-        hinge = weighted_hinge(alpha)
         rng = np.random.default_rng(int(alpha * 100))
         U = rng.uniform(-3, 3, size=(10_000, 2))
         v = binary_to_scalar(s, U)
-        assert np.array_equal(link_many(s, U), np.array([hinge.link(t) for t in v]))
+        assert np.array_equal(link_many(s, U), hinge_link(v))
 
 
 # --- game value ------------------------------------------------------------
@@ -304,36 +318,39 @@ def test_link_shift_invariant(surrogates, rng):
 
 def test_weighted_hinge_table_values():
     for alpha in (1 / 6, 1 / 4, 1 / 2):
-        h = weighted_hinge(alpha)
-        assert h.value(-1.0, 1) == pytest.approx(1 - alpha)
-        assert h.value(1.0, 0) == pytest.approx(alpha)
-        assert h.value(1.0, 1) == 0.0
-        assert h.value(-1.0, 0) == 0.0
+        h = hinge(alpha)
+        assert hinge_values(h, -1.0, 1)[0] == pytest.approx(1 - alpha)
+        assert hinge_values(h, 1.0, 0)[0] == pytest.approx(alpha)
+        assert hinge_values(h, 1.0, 1)[0] == 0.0
+        assert hinge_values(h, -1.0, 0)[0] == 0.0
 
 
 def test_weighted_hinge_risk_flips_at_alpha():
     alpha = 0.3
-    h = weighted_hinge(alpha)
+    h = hinge(alpha)
     us = np.linspace(-1, 1, 2001)
     for p1 in (alpha - 0.05, alpha + 0.05):
-        risks = [p1 * h.value(u, 1) + (1 - p1) * h.value(u, 0) for u in us]
+        risks = p1 * hinge_values(h, us, 1) + (1 - p1) * hinge_values(h, us, 0)
         best_u = us[int(np.argmin(risks))]
         assert (best_u > 0) == (p1 > alpha)
 
 
 def test_weighted_hinge_nonnegative_and_zero_at_correct_point(rng):
-    h = weighted_hinge(0.25)
-    for u in rng.uniform(-3, 3, 100):
-        assert h.value(u, 0) >= 0 and h.value(u, 1) >= 0
-    assert h.value(1.0, 1) == 0.0
-    assert h.value(-1.0, 0) == 0.0
+    h = hinge(0.25)
+    us = rng.uniform(-3, 3, 100)
+    assert np.all(hinge_values(h, us, 0) >= 0) and np.all(hinge_values(h, us, 1) >= 0)
+    assert hinge_values(h, 1.0, 1)[0] == 0.0
+    assert hinge_values(h, -1.0, 0)[0] == 0.0
 
 
 def test_weighted_hinge_rejects_bad_alpha():
-    with pytest.raises(ValueError):
-        weighted_hinge(0.0)
-    with pytest.raises(ValueError):
-        weighted_hinge(1.0)
+    # alpha = 0 or 1 zeroes one off-diagonal cost; a nonzero diagonal is no
+    # alpha matrix at all.
+    for entries in ([[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]],
+                    [[0.5, 1.0], [1.0, 0.0]]):
+        cost = CostMatrix(entries)
+        with pytest.raises(ValueError, match="weighted_hinge needs"):
+            LossSpec("weighted_hinge", cost)
 
 
 def test_minimal_surrogate_risk_matches_bayes_risk():

@@ -117,6 +117,32 @@ def test_parse_config_missing_file():
         parse_config("definitely/not/here.cfg")
 
 
+def test_parse_config_names_key_of_malformed_value(tmp_path, capsys):
+    from costbench.cli import main
+
+    path = tmp_path / "bad.cfg"
+    path.write_text("[experiment]\ndataset = synthetic\nn_seeds = two\n")
+    with pytest.raises(ConfigError) as info:
+        parse_config(path)
+    message = str(info.value)
+    assert str(path) in message and "n_seeds" in message and "[experiment]" in message
+    assert main(["run", str(path)]) == 2
+    assert "n_seeds" in capsys.readouterr().err
+
+
+def test_config_rejects_duplicate_or_empty_losses(tmp_path):
+    # Duplicates would run every cell twice and count the copies in the SEM;
+    # an empty list would write a header-only rows CSV.
+    with pytest.raises(ConfigError, match="more than once"):
+        ExperimentConfig(losses=("cross_entropy", "cross_entropy"))
+    with pytest.raises(ConfigError, match="at least one"):
+        ExperimentConfig(losses=())
+    path = tmp_path / "empty.cfg"
+    path.write_text("[experiment]\nlosses = ,\n")
+    with pytest.raises(ConfigError, match="at least one"):
+        parse_config(path)
+
+
 def test_config_rejects_post_on_deferral():
     with pytest.raises(ConfigError):
         ExperimentConfig(dataset="german_credit_deferral",
@@ -311,6 +337,32 @@ def test_cell_error_other_than_divergence_propagates(monkeypatch):
     monkeypatch.setattr(BoundLoss, "batch", buggy_batch)
     with pytest.raises(ValueError, match="index bug"):
         run_experiment(SMALL_CFG)
+
+
+def test_pool_mode_propagates_cell_error(monkeypatch):
+    # Pool mode (forked workers inherit the patch): a bug inside a cell ends
+    # the run instead of being recorded as a diverged cell.
+    from dataclasses import replace
+
+    from costbench.losses import BoundLoss
+
+    def buggy_batch(self, scores, ys):
+        raise ValueError("index bug in the loss")
+
+    monkeypatch.setattr(BoundLoss, "batch", buggy_batch)
+    with pytest.raises(ValueError, match="index bug"):
+        run_experiment(replace(SMALL_CFG, workers=2))
+
+
+def test_pool_mode_records_diverged_cell():
+    from dataclasses import replace
+
+    cfg = replace(SMALL_CFG, learning_rate=1e308, losses=("cross_entropy",),
+                  n_seeds=2, workers=2)
+    with np.errstate(all="ignore"):
+        rows = run_experiment(cfg)
+    assert [r.seed for r in rows] == [0, 1]
+    assert all(r.failed.startswith("diverged at epoch ") for r in rows)
 
 
 # sha256 of the rows CSV of GUARD_CFG, taken from the training loop that

@@ -212,8 +212,9 @@ def test_fused_embedding_batches_match_separate_calls(name, rng):
 def test_loss_spec_validation():
     with pytest.raises(ValueError):
         LossSpec("nope", ALPHA6)
-    with pytest.raises(ValueError):
-        LossSpec("scaled_cross_entropy")  # needs a cost matrix
+    for kind in ("cross_entropy", "scaled_cross_entropy"):
+        with pytest.raises(ValueError, match="requires a cost matrix"):
+            LossSpec(kind)
     with pytest.raises(ValueError):
         LossSpec("weighted_hinge", STUDENT)  # needs a 2x2 alpha matrix
     LossSpec("weighted_hinge", ALPHA6)
@@ -231,6 +232,24 @@ def test_bound_loss_out_dims():
     assert BoundLoss(LossSpec("embedding", defer)).out_dim == 2
     assert BoundLoss(LossSpec("embedding_softmax", defer)).out_dim == 3
     assert BoundLoss(LossSpec("cross_entropy", defer)).out_dim == 2
+
+
+def test_bound_loss_kink_margins():
+    u = np.array([[1.0], [-1.0], [0.0], [3.0]])
+    hinge = BoundLoss(LossSpec("weighted_hinge", ALPHA6))
+    assert np.array_equal(hinge.kink_margin(u), [0.0, 0.0, 1.0, 2.0])
+    for kind in ("cross_entropy", "scaled_cross_entropy"):
+        margins = BoundLoss(LossSpec(kind, STUDENT)).kink_margin(np.zeros((2, 3)))
+        assert np.all(np.isinf(margins))
+    # Embedded points are kinks of G; the softmax variant measures the gap
+    # at the point its scores link to.
+    raw = BoundLoss(LossSpec("embedding", STUDENT))
+    assert np.all(raw.kink_margin(raw.surrogate.phi) < 1e-12)
+    soft = BoundLoss(LossSpec("embedding_softmax", STUDENT))
+    logits = np.random.default_rng(1).normal(size=(20, soft.out_dim))
+    assert np.array_equal(soft.kink_margin(logits),
+                          raw.kink_margin(soft.link_input(logits)))
+    assert np.all(soft.kink_margin(logits) > 0)
 
 
 def test_bound_loss_batches_match_singles(rng):

@@ -259,6 +259,24 @@ def test_evaluate_order_invariant(rng):
     assert a.csl == b.csl and a.accuracy == b.accuracy
 
 
+@pytest.mark.parametrize("kind", ["cross_entropy", "scaled_cross_entropy", "embedding",
+                                  "embedding_softmax", "weighted_hinge"])
+def test_evaluate_cost_se_matches_second_pass(kind, rng):
+    # The SE of the per-sample test cost, as a separate forward and decide
+    # pass over the split computes it.
+    x, y = make_blobs(80, rng, separation=1.0)
+    loss = BoundLoss(LossSpec(kind, ALPHA6))
+    model = train(ModelSpec("linear", 2, loss.out_dim, init_seed=3), loss,
+                  (x[:60], y[:60]), (x[60:], y[60:]),
+                  TrainConfig(learning_rate=0.2, n_epochs=20))
+    rule = loss.default_rule()
+    costs = ALPHA6.entries[loss.decide_batch(model.scores(x), rule), y]
+    want = float(costs.std(ddof=1) / np.sqrt(len(costs)))
+    assert want > 0
+    assert evaluate(model, rule, (x, y), ALPHA6).cost_se == want
+    assert evaluate(model, rule, (x[:1], y[:1]), ALPHA6).cost_se == 0.0
+
+
 def test_evaluate_deferral_has_no_accuracy(rng):
     from costbench.costs import german_credit_deferral_matrix
 
