@@ -66,10 +66,6 @@ class CostMatrix:
     def is_square(self) -> bool:
         return self.n_reports == self.n_labels
 
-    def has_zero_per_column(self) -> bool:
-        """True for classification-style matrices: some report is free per label."""
-        return bool(np.all(self.entries.min(axis=0) == 0.0))
-
     def scaled(self, factor: float) -> "CostMatrix":
         if factor <= 0:
             raise ValueError("scale factor must be positive")
@@ -95,12 +91,6 @@ class SimplexDist:
     @property
     def n_labels(self) -> int:
         return self.probs.shape[0]
-
-    @staticmethod
-    def point_mass(y: int, n_labels: int) -> "SimplexDist":
-        p = np.zeros(n_labels)
-        p[y] = 1.0
-        return SimplexDist(p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,11 +309,17 @@ def load_cost_matrix(path) -> CostMatrix:
         )
     rows = []
     for ln in lines[1:]:
-        vals = [float(tok) for tok in ln.split()]
+        try:
+            vals = [float(tok) for tok in ln.split()]
+        except ValueError as exc:
+            raise ValueError(f"{path}: row '{ln}': {exc}") from exc
         if len(vals) != n_labels:
             raise ValueError(f"{path}: row '{ln}' does not have {n_labels} entries")
         rows.append(vals)
-    return CostMatrix(np.array(rows))
+    try:
+        return CostMatrix(np.array(rows))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def save_cost_matrix(cost: CostMatrix, path) -> None:

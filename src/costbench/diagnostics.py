@@ -28,9 +28,8 @@ from .losses import log_softmax
 class EmbeddingRisk:
     """Conditional surrogate risk for the polyhedral embedding."""
 
-    def __init__(self, surrogate: EmbeddingSurrogate, refine: int = 0):
+    def __init__(self, surrogate: EmbeddingSurrogate):
         self.surrogate = surrogate
-        self.refine = refine
 
     def cond_risk(self, U: np.ndarray, p: np.ndarray) -> np.ndarray:
         vals, _ = game_values(self.surrogate, U)
@@ -39,22 +38,10 @@ class EmbeddingRisk:
     def min_cond_risk(self, p: np.ndarray) -> float:
         """Minimal conditional risk over all predictions.
 
-        Candidates are the embedded points (which the embedding property makes
-        sufficient) plus an optional local grid refinement around the best
-        candidate as a numerical cross-check.
+        The minimum over the embedded points, which the embedding property
+        makes sufficient.
         """
-        s = self.surrogate
-        cands = s.phi
-        best = float(self.cond_risk(cands, p).min())
-        if self.refine:
-            rng = np.random.default_rng(0)
-            span = max(s.phi.max() - s.phi.min(), 1.0)
-            for r in range(len(cands)):
-                local = cands[r] + rng.uniform(
-                    -0.5 * span, 0.5 * span, size=(self.refine, s.n_labels)
-                )
-                best = min(best, float(self.cond_risk(local, p).min()))
-        return best
+        return float(self.cond_risk(self.surrogate.phi, p).min())
 
     def sampler(self):
         return lambda n, rng: sample_predictions(self.surrogate, n, rng)
@@ -296,19 +283,6 @@ def boundary_slope(model, label: str = "") -> SlopeReport:
 def optimal_boundary_slope(alpha: float) -> float:
     """Slope of the cost-optimal boundary x1 = (x2/2) log(alpha/(1-alpha))."""
     return 0.5 * math.log(alpha / (1.0 - alpha))
-
-
-def export_slopes_csv(reports: dict[str, SlopeReport], alpha: float, path) -> None:
-    """Geometry report as CSV, one trained model per row."""
-    target = optimal_boundary_slope(alpha)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["label", "slope", "offset", "degenerate",
-                    "optimal_slope", "slope_error"])
-        for label, rep in reports.items():
-            err = "" if rep.degenerate else repr(rep.slope - target)
-            w.writerow([label, repr(rep.slope), repr(rep.offset),
-                        int(rep.degenerate), repr(target), err])
 
 
 # ---------------------------------------------------------------------------

@@ -117,10 +117,9 @@ class ViolationReport:
         return "\n".join(lines)
 
 
-def quotient_dist(u: np.ndarray, v: np.ndarray) -> float:
-    """Infinity distance between u and v modulo constant shifts."""
-    d = np.asarray(u, dtype=float) - np.asarray(v, dtype=float)
-    return float(d.max() - d.min()) / 2.0
+def _quotient_norm(d: np.ndarray) -> np.ndarray:
+    """Shift-invariant infinity norm of differences d, along the last axis."""
+    return (d.max(axis=-1) - d.min(axis=-1)) / 2.0
 
 
 def _enumerate_game_vertices(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -174,19 +173,12 @@ def _enumerate_game_vertices(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def min_pairwise_gap(points: np.ndarray, quotient: bool = True) -> float:
-    """Smallest positive pairwise distance between rows of points."""
-    n = points.shape[0]
-    best = np.inf
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = points[i] - points[j]
-            if quotient:
-                gap = (d.max() - d.min()) / 2.0
-            else:
-                gap = np.abs(d).max()
-            if gap > 0:
-                best = min(best, gap)
-    return float(best)
+    """Smallest positive pairwise distance between rows of points; inf if none."""
+    i, j = np.triu_indices(len(points), k=1)
+    d = points[i] - points[j]
+    gaps = _quotient_norm(d) if quotient else np.abs(d).max(axis=-1)
+    gaps = gaps[gaps > 0]
+    return float(gaps.min()) if len(gaps) else np.inf
 
 
 def build_embedding_surrogate(
@@ -332,8 +324,7 @@ def link_many(s: EmbeddingSurrogate, U: np.ndarray) -> np.ndarray:
             out[members] = cands[0]
             continue
         diff = U[members][:, None, :] - s.phi[list(cands)][None, :, :]
-        dists = (diff.max(axis=2) - diff.min(axis=2)) / 2.0
-        out[members] = np.asarray(cands)[np.argmin(dists, axis=1)]
+        out[members] = np.asarray(cands)[np.argmin(_quotient_norm(diff), axis=1)]
     return out
 
 
@@ -496,8 +487,7 @@ def dist_to_optimal_set(
     """Shift-invariant distance from each row of U to conv{phi(r)} + span{1}."""
     verts = s.phi[list(reports)]
     if len(reports) == 1:
-        diff = U - verts[0]
-        return (diff.max(axis=1) - diff.min(axis=1)) / 2.0
+        return _quotient_norm(U - verts[0])
     if len(reports) == 2:
         out = np.empty(len(U))
         for start in range(0, len(U), 2048):
@@ -584,24 +574,3 @@ def verify_alpha_separation(
     return ViolationReport(
         "alpha-separation", tuple(violations), tuple(flags), n_checked=n_checked
     )
-
-
-# ---------------------------------------------------------------------------
-# Binary specialization: the weighted hinge's scalar prediction axis.
-# ---------------------------------------------------------------------------
-
-
-def binary_to_scalar(s: EmbeddingSurrogate, U: np.ndarray) -> np.ndarray:
-    """Affine map from binary surrogate predictions to the hinge axis.
-
-    Fixed by sending the two embedded points to -1 and +1. Only the
-    shift-invariant coordinate u_1 - u_0 matters.
-    """
-    if s.n_labels != 2 or len(s.representative_set) != 2:
-        raise ValueError("binary reparameterization needs a 2x2 cost matrix")
-    r0, r1 = s.representative_set
-    g0 = s.phi[r0, 1] - s.phi[r0, 0]
-    g1 = s.phi[r1, 1] - s.phi[r1, 0]
-    g = U[:, 1] - U[:, 0]
-    # Report r0 decides label 0, r1 decides label 1: send g0 -> -1, g1 -> +1.
-    return (2.0 * g - (g0 + g1)) / (g1 - g0)

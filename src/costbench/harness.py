@@ -66,7 +66,6 @@ class ExperimentConfig:
     hidden_dims: tuple[int, ...] = DEFAULT_HIDDEN_DIMS
     learning_rate: float | None = None  # None = per-model default
     n_epochs: int = 10000
-    batch_size: int | None = None
     selection: str = "val_loss"         # or "val_csl"
     n_seeds: int = 20
     master_seed: int = 0
@@ -98,6 +97,19 @@ class ExperimentConfig:
                 "cross_entropy_post is undefined when reports != labels "
                 "(weighted argmax has no deferral score)"
             )
+        # Reject a loss the dataset's matrix cannot take before any cell trains.
+        try:
+            cost = _dataset_cost_matrix(self.dataset, self.alpha)
+        except ValueError as exc:
+            raise ConfigError(f"bad alpha {self.alpha!r}: {exc}") from exc
+        for label in self.losses:
+            try:
+                _loss_spec(label, cost)
+            except ValueError as exc:
+                raise ConfigError(
+                    f"losses: {label} cannot train on the {self.dataset} "
+                    f"cost matrix: {exc}"
+                ) from exc
 
     @property
     def effective_learning_rate(self) -> float:
@@ -189,10 +201,6 @@ def _parse_ints(text: str) -> tuple[int, ...]:
     return tuple(int(t) for t in text.split(",") if t.strip())
 
 
-def _parse_batch_size(text: str) -> int | None:
-    return None if text.strip() in ("", "full") else int(text)
-
-
 # (section, key) in a config file -> (ExperimentConfig field, value parser).
 _CONFIG_KEYS = {
     ("experiment", "dataset"): ("dataset", str.strip),
@@ -206,7 +214,6 @@ _CONFIG_KEYS = {
     ("model", "hidden_dims"): ("hidden_dims", _parse_ints),
     ("train", "learning_rate"): ("learning_rate", float),
     ("train", "n_epochs"): ("n_epochs", int),
-    ("train", "batch_size"): ("batch_size", _parse_batch_size),
     ("train", "selection"): ("selection", str.strip),
     ("postprocess", "n_candidates"): ("postprocess_candidates", int),
     ("output", "rows_csv"): ("rows_csv", str.strip),
@@ -250,21 +257,31 @@ def parse_config(path) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
+def _dataset_cost_matrix(dataset: str, alpha: float) -> CostMatrix:
+    """The cost matrix a dataset's cells train against; reads no data file."""
+    if dataset == "synthetic":
+        return synthetic_cost_matrix(alpha)
+    return data_mod.UCI_SPECS[dataset].cost_factory()
+
+
 def load_dataset(cfg: ExperimentConfig, split_seed: int):
     """Dataset + cost matrix + splits for one seed index."""
     if cfg.dataset == "synthetic":
         ds = data_mod.sample_synthetic(cfg.n_samples, rng_seed=split_seed)
         ds = replace(ds, source={**ds.source, "alpha": cfg.alpha})
-        cost = synthetic_cost_matrix(cfg.alpha)
     else:
-        ds, cost = data_mod.load_uci(cfg.dataset)
+        ds, _ = data_mod.load_uci(cfg.dataset)
+    cost = _dataset_cost_matrix(cfg.dataset, cfg.alpha)
     splits = data_mod.subsample_and_split(ds, cfg.n_samples, cfg.fractions, seed=split_seed)
     return ds, cost, splits
 
 
+def _loss_spec(label: str, cost: CostMatrix) -> LossSpec:
+    return LossSpec("cross_entropy" if label == "cross_entropy_post" else label, cost)
+
+
 def make_loss(label: str, cost: CostMatrix) -> BoundLoss:
-    base = "cross_entropy" if label == "cross_entropy_post" else label
-    return BoundLoss(LossSpec(base, cost))
+    return BoundLoss(_loss_spec(label, cost))
 
 
 def run_cell(cfg: ExperimentConfig, label: str, seed_index: int) -> ResultRow:
@@ -285,12 +302,7 @@ def run_cell(cfg: ExperimentConfig, label: str, seed_index: int) -> ResultRow:
             hidden_dims=cfg.hidden_dims,
             init_seed=cell_seed,
         )
-        tcfg = TrainConfig(
-            learning_rate=cfg.effective_learning_rate,
-            n_epochs=cfg.n_epochs,
-            batch_size=cfg.batch_size,
-            seed=mix_seed(cell_seed, "shuffle"),
-        )
+        tcfg = TrainConfig(learning_rate=cfg.effective_learning_rate, n_epochs=cfg.n_epochs)
         rule = loss.default_rule()
         selection_metric = None
         if cfg.selection == "val_csl":

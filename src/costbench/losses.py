@@ -79,16 +79,17 @@ def class_weights(cost: CostMatrix) -> np.ndarray:
 
 
 def scaled_cross_entropy_batch(
-    cost: CostMatrix, scores: np.ndarray, ys: np.ndarray
+    weights: np.ndarray, scores: np.ndarray, ys: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
+    """Cross-entropy of each sample scaled by its label's class weight."""
     vals, grads = cross_entropy_batch(scores, ys)
-    w = class_weights(cost)[np.asarray(ys, dtype=int)]
+    w = weights[np.asarray(ys, dtype=int)]
     return w * vals, w[:, None] * grads
 
 
 def scaled_cross_entropy(cost: CostMatrix, scores, y: int) -> tuple[float, np.ndarray]:
     vals, grads = scaled_cross_entropy_batch(
-        cost, np.asarray(scores, dtype=float)[None, :], [y]
+        class_weights(cost), np.asarray(scores, dtype=float)[None, :], [y]
     )
     return float(vals[0]), grads[0]
 
@@ -240,7 +241,7 @@ class BoundLoss:
         if self.kind == "cross_entropy":
             self._batch = cross_entropy_batch
         elif self.kind == "scaled_cross_entropy":
-            self._batch = partial(scaled_cross_entropy_batch, cost)
+            self._batch = partial(scaled_cross_entropy_batch, class_weights(cost))
         elif self.kind == "weighted_hinge":
             c_fp = float(cost.entries[1, 0])
             c_fn = float(cost.entries[0, 1])
@@ -296,18 +297,6 @@ class DecisionRule:
             object.__setattr__(self, "weights", w)
         elif self.weights is not None:
             raise ValueError(f"{self.kind} takes no weights")
-
-    def to_config_str(self) -> str:
-        if self.kind == "weighted_argmax":
-            return "weighted_argmax:" + ",".join(repr(float(w)) for w in self.weights)
-        return self.kind
-
-    @staticmethod
-    def from_config_str(text: str) -> "DecisionRule":
-        if text.startswith("weighted_argmax:"):
-            w = np.array([float(t) for t in text.split(":", 1)[1].split(",")])
-            return DecisionRule("weighted_argmax", w)
-        return DecisionRule(text)
 
 
 def decide_batch(

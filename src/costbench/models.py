@@ -6,9 +6,7 @@ validation loss. Everything is seeded and bit-reproducible.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -54,16 +52,12 @@ class ModelSpec:
 class TrainConfig:
     learning_rate: float = 0.1
     n_epochs: int = 2000
-    batch_size: int | None = None  # None = full batch
-    seed: int = 0
 
     def __post_init__(self):
         if self.learning_rate < 0:
             raise ValueError("learning rate must be nonnegative")
         if self.n_epochs < 1:
             raise ValueError("need at least one epoch")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError("batch size must be positive")
 
 
 Params = list[tuple[np.ndarray, np.ndarray]]
@@ -82,11 +76,6 @@ def init_model(spec: ModelSpec) -> Params:
 
 def _copy_params(params: Params) -> Params:
     return [(w.copy(), b.copy()) for w, b in params]
-
-
-def n_parameters(spec: ModelSpec) -> int:
-    dims = spec.layer_dims
-    return sum((i + 1) * o for i, o in zip(dims[:-1], dims[1:]))
 
 
 def _forward_cache(params: Params, x: np.ndarray):
@@ -154,13 +143,6 @@ class TrainedModel:
         return forward(self.params, x)
 
 
-def _step(params: Params, grads: Params, learning_rate: float) -> Params:
-    return [
-        (w - learning_rate * gw, b - learning_rate * gb)
-        for (w, b), (gw, gb) in zip(params, grads)
-    ]
-
-
 def train(
     spec: ModelSpec,
     loss: BoundLoss,
@@ -169,7 +151,7 @@ def train(
     cfg: TrainConfig,
     selection_metric=None,
 ) -> TrainedModel:
-    """Gradient descent on the mean loss with best-validation-epoch selection.
+    """Full-batch gradient descent on the mean loss with best-epoch selection.
 
     history[e] holds (train loss, val loss) at the parameters after e updates;
     row 0 is the initial model. best_epoch is the first epoch attaining the
@@ -177,16 +159,15 @@ def train(
     selection_metric, when given, replaces the validation loss as the
     per-epoch selection criterion: a callable params -> float, lower is better.
 
-    Each epoch evaluates the loss once per split. The val column always comes
-    from a forward pass over the validation split. In full-batch mode the
-    train column of row e is the mean loss that step e + 1's gradient pass
-    computes at those same parameters. In minibatch mode no gradient pass
-    sees the whole train set, so a full-train forward pass fills it. In both
-    modes one full-train forward pass after the last step fills the final row.
+    Each epoch evaluates the loss once per split. The val column comes from a
+    forward pass over the validation split. The train column of row e is the
+    mean loss that step e + 1's gradient pass computes at those same
+    parameters, and one train forward pass after the last step fills the
+    final row.
 
     Non-finite scores or losses at the parameters after step e >= 1 raise
-    TrainingDiverged(e), also when the full-batch train loss shows them one
-    step later. Any other error from a step propagates unchanged.
+    TrainingDiverged(e), also when the train loss shows them one step later.
+    Any other error from a step propagates unchanged.
     """
     x_tr, y_tr = np.asarray(train_xy[0], float), np.asarray(train_xy[1], int)
     x_va, y_va = np.asarray(val_xy[0], float), np.asarray(val_xy[1], int)
@@ -197,9 +178,7 @@ def train(
             f"model out_dim {spec.out_dim} != loss out_dim {loss.out_dim}"
         )
     params = init_model(spec)
-    rng = np.random.default_rng(cfg.seed)
     lr = cfg.learning_rate
-    full_batch = cfg.batch_size is None
     history = np.empty((cfg.n_epochs + 1, 2))
     best_epoch, best_sel, best_params = 0, np.inf, params
 
@@ -219,18 +198,11 @@ def train(
         vl = _mean_loss(params, loss, x_va, y_va)
         for epoch in range(1, cfg.n_epochs + 1):
             at = epoch - 1
-            if full_batch:
-                tl, grads = mean_loss_and_param_grads(params, loss, x_tr, y_tr)
-                finish_row(at, params, tl, vl)
-                params = _step(params, grads, lr)
-            else:
-                finish_row(at, params, _mean_loss(params, loss, x_tr, y_tr), vl)
-                at = epoch
-                order = rng.permutation(len(x_tr))
-                for start in range(0, len(x_tr), cfg.batch_size):
-                    idx = order[start : start + cfg.batch_size]
-                    _, grads = mean_loss_and_param_grads(params, loss, x_tr[idx], y_tr[idx])
-                    params = _step(params, grads, lr)
+            tl, grads = mean_loss_and_param_grads(params, loss, x_tr, y_tr)
+            finish_row(at, params, tl, vl)
+            params = [
+                (w - lr * gw, b - lr * gb) for (w, b), (gw, gb) in zip(params, grads)
+            ]
             at = epoch
             vl = _mean_loss(params, loss, x_va, y_va)
         finish_row(at, params, _mean_loss(params, loss, x_tr, y_tr), vl)
@@ -334,57 +306,3 @@ def gradient_check(
         denom = max(abs(fd), abs(flat_grads[c]), 1.0)
         worst = max(worst, abs(fd - flat_grads[c]) / denom)
     return worst
-
-
-# ---------------------------------------------------------------------------
-# Serialization: exact-round-trip text parameters and CSV history.
-# ---------------------------------------------------------------------------
-
-_PARAMS_MAGIC = "costbench-params v1"
-
-
-def save_params(model: TrainedModel, path) -> None:
-    lines = [_PARAMS_MAGIC, f"kind {model.spec.kind}", f"layers {len(model.params)}"]
-    for i, (w, b) in enumerate(model.params):
-        lines.append(f"layer {i} {w.shape[0]} {w.shape[1]}")
-        for row in w:
-            lines.append(" ".join(repr(float(v)) for v in row))
-        lines.append("bias " + " ".join(repr(float(v)) for v in b))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_params(path) -> Params:
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != _PARAMS_MAGIC:
-        raise ValueError(f"{path}: not a recognized parameter file")
-    params: Params = []
-    try:
-        n_layers = int(lines[2].split()[1])
-        pos = 3
-        for i in range(n_layers):
-            _, _, n_in, n_out = lines[pos].split()
-            n_in, n_out = int(n_in), int(n_out)
-            pos += 1
-            w = np.array(
-                [[float(t) for t in lines[pos + r].split()] for r in range(n_in)]
-            )
-            pos += n_in
-            btoks = lines[pos].split()
-            if not btoks or btoks[0] != "bias":
-                raise ValueError(f"{path}: layer {i} has no bias line")
-            b = np.array([float(t) for t in btoks[1:]])
-            pos += 1
-            if w.shape != (n_in, n_out) or b.shape != (n_out,):
-                raise ValueError(f"{path}: malformed layer block")
-            params.append((w, b))
-    except IndexError:
-        raise ValueError(f"{path}: truncated parameter file") from None
-    return params
-
-
-def export_history_csv(model: TrainedModel, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_loss", "val_loss"])
-        for epoch, (tl, vl) in enumerate(model.history):
-            writer.writerow([epoch, repr(float(tl)), repr(float(vl))])

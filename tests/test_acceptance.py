@@ -141,6 +141,7 @@ def test_criterion_4_gradient_correctness(rng):
     )
 
 
+@pytest.mark.slow
 def test_criterion_5_synthetic_table(synthetic_rows):
     """Mean test CSL ordering + banded magnitudes of the benchmark table."""
     means = {
@@ -168,6 +169,7 @@ def test_criterion_5_synthetic_table(synthetic_rows):
     )
 
 
+@pytest.mark.slow
 def test_criterion_6_accuracy_inversion(synthetic_rows):
     """Plain cross-entropy wins accuracy while not winning cost."""
     labels = ("cross_entropy", "cross_entropy_post", "embedding",
@@ -183,6 +185,7 @@ def test_criterion_6_accuracy_inversion(synthetic_rows):
     )
 
 
+@pytest.mark.slow
 def test_criterion_7_boundary_geometry():
     """Cost-aware training recovers the sloped boundary; plain CE stays vertical.
 
@@ -241,6 +244,7 @@ def test_criterion_8_german_credit_gap():
     )
 
 
+@pytest.mark.slow
 def test_criterion_9_bayes_lower_bound(synthetic_rows, synthetic_cfg):
     """No trained model beats the Monte-Carlo cost floor beyond noise.
 
@@ -277,6 +281,7 @@ def test_criterion_9_bayes_lower_bound(synthetic_rows, synthetic_cfg):
     )
 
 
+@pytest.mark.slow
 def test_criterion_10_determinism(synthetic_rows, synthetic_cfg, tmp_path):
     """Rerunning the table config reproduces the rows CSV byte for byte."""
     again = run_experiment(synthetic_cfg)

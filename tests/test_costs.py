@@ -15,7 +15,6 @@ from costbench.costs import (
     cost_sensitive_loss,
     expected_cost,
     expected_costs,
-    german_credit_deferral_matrix,
     load_cost_matrix,
     save_cost_matrix,
     severity_three_class_matrix,
@@ -57,12 +56,6 @@ def test_simplex_dist_tolerance():
         SimplexDist(np.array([-0.1, 1.1]))
 
 
-def test_zero_per_column_flag():
-    assert binary_alpha_matrix(0.25).has_zero_per_column()
-    assert german_credit_deferral_matrix().has_zero_per_column()
-    assert not CostMatrix([[1.0, 2.0], [3.0, 0.5]]).has_zero_per_column()
-
-
 # --- expected cost ---------------------------------------------------------
 
 
@@ -77,7 +70,7 @@ def test_expected_cost_alpha_indifference():
 
 def test_expected_cost_point_mass_zero():
     for y in range(3):
-        p = SimplexDist.point_mass(y, 3)
+        p = SimplexDist(np.eye(3)[y])
         r = int(np.argmin(STUDENT.entries[:, y]))
         assert expected_cost(STUDENT, p, r) == 0.0
 
@@ -103,7 +96,7 @@ def test_bayes_optimal_alpha_threshold():
 
 
 def test_bayes_optimal_point_mass_column_argmin():
-    p = SimplexDist.point_mass(1, 3)
+    p = SimplexDist(np.eye(3)[1])
     col = STUDENT.entries[:, 1]
     want = tuple(np.flatnonzero(col <= col.min() + TIE_EPS))
     assert bayes_optimal_reports(STUDENT, p) == want
@@ -119,7 +112,7 @@ def test_bayes_risk_values():
     alpha = 0.25
     p = dist(1 - alpha, alpha)
     assert bayes_risk(binary_alpha_matrix(alpha), p) == pytest.approx(alpha * (1 - alpha))
-    assert bayes_risk(STUDENT, SimplexDist.point_mass(0, 3)) == 0.0
+    assert bayes_risk(STUDENT, SimplexDist(np.eye(3)[0])) == 0.0
 
 
 def test_bayes_risk_equals_min_on_grid():
@@ -252,6 +245,21 @@ def test_cost_matrix_file_errors(tmp_path):
     neg.write_text("2 2\n0 -1\n1 0\n")
     with pytest.raises(ValueError):
         load_cost_matrix(neg)
+
+
+@pytest.mark.parametrize("rows, cause", [
+    ("0 x\n1 0\n", "row '0 x': could not convert string to float: 'x'"),
+    ("0 -1\n1 0\n", "must be nonnegative"),
+    ("0 nan\n1 0\n", "must be finite"),
+    ("0 inf\n1 0\n", "must be finite"),
+])
+def test_cost_matrix_file_errors_name_the_file(tmp_path, rows, cause):
+    path = tmp_path / "costs.txt"
+    path.write_text("2 2\n" + rows)
+    with pytest.raises(ValueError) as info:
+        load_cost_matrix(path)
+    message = str(info.value)
+    assert message.startswith(f"{path}: ") and cause in message
 
 
 def test_synthetic_cost_matrix_integer_scale():

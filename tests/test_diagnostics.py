@@ -35,12 +35,18 @@ def test_embedding_risk_minimum_is_bayes_risk():
     from costbench.costs import SimplexDist, bayes_risk
 
     s = build_embedding_surrogate(severity_three_class_matrix())
-    risk = EmbeddingRisk(s, refine=200)
+    risk = EmbeddingRisk(s)
     rng = np.random.default_rng(0)
+    span = max(s.phi.max() - s.phi.min(), 1.0)
     for _ in range(10):
         p = rng.dirichlet(np.ones(3))
         want = bayes_risk(s.cost, SimplexDist(p))
-        assert risk.min_cond_risk(p) == pytest.approx(want, abs=1e-9)
+        best = risk.min_cond_risk(p)
+        assert best == pytest.approx(want, abs=1e-9)
+        # No local perturbation of an embedded point does better.
+        local = s.phi[:, None, :] + rng.uniform(-0.5 * span, 0.5 * span,
+                                                size=(3, 200, 3))
+        assert risk.cond_risk(local.reshape(-1, 3), p).min() >= best - 1e-9
 
 
 def test_cross_entropy_risk_minimum_is_entropy():
@@ -241,9 +247,7 @@ def test_boundary_slope_degenerate_flagged():
     assert math.isinf(rep.slope)
 
 
-def test_example1_geometry_and_csv(tmp_path):
-    from costbench.diagnostics import export_slopes_csv
-
+def test_example1_geometry_and_csv():
     params_a = [(np.array([[0.0, 2.0], [0.0, 1.6]]), np.zeros(2))]
     params_b = [(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros(2))]
     loss = BoundLoss(LossSpec("cross_entropy", ALPHA6))
@@ -255,11 +259,11 @@ def test_example1_geometry_and_csv(tmp_path):
     reports = {label: boundary_slope(m, label) for label, m in models.items()}
     assert reports["sloped"].slope == pytest.approx(-0.8)
     assert reports["vertical"].slope == pytest.approx(0.0)
-    path = tmp_path / "geometry.csv"
-    export_slopes_csv(reports, 1 / 6, path)
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("label,slope,offset")
-    assert len(lines) == 3
+    # The fields of a geometry report row, one row per trained model.
+    target = optimal_boundary_slope(1 / 6)
+    assert [(r.label, r.offset, r.degenerate) for r in reports.values()] == [
+        ("sloped", 0.0, False), ("vertical", 0.0, False)]
+    assert reports["sloped"].slope - target == pytest.approx(-0.8 - 0.5 * math.log(0.2))
 
 
 # --- svg rendering ------------------------------------------------------------------

@@ -16,14 +16,13 @@ from costbench.costs import (
 from costbench.embedding import (
     EmbeddingSurrogate,
     _dist_to_hull_lp,
+    _quotient_norm,
     build_embedding_surrogate,
-    binary_to_scalar,
     dist_to_optimal_set,
     game_value,
     link,
     link_many,
     min_pairwise_gap,
-    quotient_dist,
     sample_predictions,
     surrogate_subgradient,
     surrogate_value,
@@ -48,6 +47,18 @@ def hinge_values(loss, us, y):
 
 def hinge_link(us):
     return decide_batch(DecisionRule("sign"), np.asarray(us, dtype=float)[:, None])
+
+
+def hinge_axis(s, U):
+    """Affine map from binary predictions to the hinge axis.
+
+    Sends the embedded points of reports r0 and r1 to -1 and +1; only the
+    shift-invariant coordinate u_1 - u_0 matters.
+    """
+    r0, r1 = s.representative_set
+    g0 = s.phi[r0, 1] - s.phi[r0, 0]
+    g1 = s.phi[r1, 1] - s.phi[r1, 0]
+    return (2.0 * (U[:, 1] - U[:, 0]) - (g0 + g1)) / (g1 - g0)
 
 
 @pytest.fixture(scope="module")
@@ -102,7 +113,7 @@ def test_zero_one_binary_reduces_to_hinge():
     assert loss.default_rule().kind == "sign"
     rng = np.random.default_rng(3)
     U = rng.uniform(-4, 4, size=(10_000, 2))
-    v = binary_to_scalar(s, U)
+    v = hinge_axis(s, U)
     generic = link_many(s, U)
     scalar = loss.decide_batch(v[:, None], loss.default_rule())
     assert np.array_equal(generic, scalar)
@@ -129,7 +140,7 @@ def test_binary_alpha_reparameterized_links_agree():
         s = build_embedding_surrogate(binary_alpha_matrix(alpha))
         rng = np.random.default_rng(int(alpha * 100))
         U = rng.uniform(-3, 3, size=(10_000, 2))
-        v = binary_to_scalar(s, U)
+        v = hinge_axis(s, U)
         assert np.array_equal(link_many(s, U), hinge_link(v))
 
 
@@ -292,8 +303,8 @@ def test_link_nearest_point_binary():
     # Strictly nearer phi(+1) in the shift-invariant metric.
     u = s.phi[1] + 0.01
     assert link(s, u) == 1
-    d0 = quotient_dist(u, s.phi[0])
-    d1 = quotient_dist(u, s.phi[1])
+    d0 = _quotient_norm(u - s.phi[0])
+    d1 = _quotient_norm(u - s.phi[1])
     assert d1 < d0
 
 
@@ -301,8 +312,8 @@ def test_link_tie_breaks_low(surrogates):
     for s in surrogates.values():
         reps = list(s.representative_set)
         mid = (s.phi[reps[0]] + s.phi[reps[1]]) / 2.0
-        d0 = quotient_dist(mid, s.phi[reps[0]])
-        d1 = quotient_dist(mid, s.phi[reps[1]])
+        d0 = _quotient_norm(mid - s.phi[reps[0]])
+        d1 = _quotient_norm(mid - s.phi[reps[1]])
         if abs(d0 - d1) < 1e-15 and link_many(s, mid[None, :])[0] in reps[:2]:
             assert link(s, mid) == min(reps[0], reps[1])
 
@@ -462,4 +473,37 @@ def test_quotient_dist_matches_definition(rng):
         u, v = rng.normal(size=(2, 4)) * 3
         cs = np.linspace(-10, 10, 4001)
         brute = min(np.abs(u - v - c).max() for c in cs)
-        assert quotient_dist(u, v) <= brute + 1e-9
+        assert _quotient_norm(u - v) <= brute + 1e-9
+
+
+def test_quotient_norm_is_rowwise_along_last_axis(rng):
+    d = rng.normal(size=(5, 3, 4))
+    got = _quotient_norm(d)
+    assert got.shape == (5, 3)
+    for i in range(5):
+        for j in range(3):
+            assert got[i, j] == (d[i, j].max() - d[i, j].min()) / 2.0
+
+
+def _min_pairwise_gap_loop(points, quotient):
+    best = np.inf
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            d = points[i] - points[j]
+            gap = (d.max() - d.min()) / 2.0 if quotient else np.abs(d).max()
+            if gap > 0:
+                best = min(best, gap)
+    return float(best)
+
+
+def test_min_pairwise_gap_matches_pairwise_loop(surrogates, rng):
+    cases = [s.phi for s in surrogates.values()]
+    for _ in range(20):
+        pts = rng.normal(size=(5, 3))
+        pts[3] = pts[1] + 0.7      # equal to row 1 modulo a shift
+        pts[4] = pts[0]            # a duplicate row
+        cases.append(pts)
+    cases += [np.zeros((1, 3)), np.zeros((2, 3)), np.ones((3, 2)) * [[0], [1], [2]]]
+    for pts in cases:
+        for quotient in (True, False):
+            assert min_pairwise_gap(pts, quotient) == _min_pairwise_gap_loop(pts, quotient)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,35 @@ def test_config_rejects_post_on_deferral():
     with pytest.raises(ConfigError):
         ExperimentConfig(dataset="german_credit_deferral",
                          losses=("cross_entropy", "cross_entropy_post"))
+
+
+def test_config_rejects_loss_the_matrix_cannot_take(tmp_path, capsys):
+    # Rejected when the config is read, before any cell trains.
+    from costbench.cli import main
+
+    with pytest.raises(ConfigError, match="losses: weighted_hinge cannot train on"):
+        ExperimentConfig(dataset="german_credit_deferral",
+                         losses=("cross_entropy", "weighted_hinge"))
+    with pytest.raises(ConfigError, match="zero-diagonal 2x2"):
+        ExperimentConfig(dataset="student_performance", losses=("weighted_hinge",))
+    ExperimentConfig(dataset="german_credit", losses=("weighted_hinge",))
+    for alpha in (0.0, 1.0, 1.5, float("nan")):
+        with pytest.raises(ConfigError, match="alpha"):
+            ExperimentConfig(alpha=alpha)
+    path = tmp_path / "deferral.cfg"
+    path.write_text("[experiment]\ndataset = german_credit_deferral\n"
+                    "losses = cross_entropy, weighted_hinge\n")
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: losses: weighted_hinge")):
+        parse_config(path)
+    assert main(["run", str(path)]) == 2
+    assert "losses: weighted_hinge" in capsys.readouterr().err
+
+
+def test_parse_config_rejects_batch_size(tmp_path):
+    path = tmp_path / "minibatch.cfg"
+    path.write_text("[train]\nbatch_size = 32\n")
+    with pytest.raises(ConfigError, match="unknown key 'batch_size' in \\[train\\]"):
+        parse_config(path)
 
 
 def test_preset_application():

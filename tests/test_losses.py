@@ -301,15 +301,6 @@ def test_embedding_link_rule_requires_surrogate():
         decide(DecisionRule("embedding_link"), [0.0, 0.0])
 
 
-def test_decision_rule_config_round_trip():
-    rule = DecisionRule("weighted_argmax", np.array([0.25, 0.75]))
-    text = rule.to_config_str()
-    back = DecisionRule.from_config_str(text)
-    assert back.kind == rule.kind
-    assert np.allclose(back.weights, rule.weights)
-    assert DecisionRule.from_config_str("argmax").kind == "argmax"
-
-
 # --- post-processing search -------------------------------------------------------
 
 

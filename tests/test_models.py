@@ -9,14 +9,10 @@ from costbench.models import (
     TrainedModel,
     TrainingDiverged,
     evaluate,
-    export_history_csv,
     forward,
     gradient_check,
     init_model,
-    load_params,
     mean_loss_and_param_grads,
-    n_parameters,
-    save_params,
     train,
 )
 
@@ -54,10 +50,6 @@ def test_init_biases_zero_and_bounded():
     for (w, b), fan_in in zip(params, dims[:-1]):
         assert np.all(b == 0.0)
         assert np.abs(w).max() <= 1.0 / np.sqrt(fan_in)
-
-
-def test_parameter_count_linear():
-    assert n_parameters(ModelSpec("linear", 7, 3)) == 3 * (7 + 1)
 
 
 def test_forward_zero_weights():
@@ -207,15 +199,6 @@ def test_out_dim_mismatch_rejected(rng):
               (x, y), (x, y), TrainConfig())
 
 
-def test_minibatch_mode_runs(rng):
-    x, y = make_blobs(64, rng)
-    loss = BoundLoss(LossSpec("cross_entropy", ALPHA6))
-    model = train(ModelSpec("linear", 2, 2, init_seed=1), loss,
-                  (x[:48], y[:48]), (x[48:], y[48:]),
-                  TrainConfig(learning_rate=0.1, n_epochs=30, batch_size=16))
-    assert np.isfinite(model.history).all()
-
-
 # --- evaluation ---------------------------------------------------------------
 
 
@@ -315,66 +298,6 @@ def test_gradient_check_mlp(kind, rng):
     assert err <= 1e-5, f"{kind}: {err}"
 
 
-# --- serialization ---------------------------------------------------------------
-
-
-def test_params_round_trip_exact(tmp_path, rng):
-    x, y = make_blobs(50, rng)
-    loss = BoundLoss(LossSpec("embedding", ALPHA6))
-    model = train(ModelSpec("mlp", 2, 2, hidden_dims=(5,), init_seed=8), loss,
-                  (x[:40], y[:40]), (x[40:], y[40:]),
-                  TrainConfig(learning_rate=0.05, n_epochs=40))
-    path = tmp_path / "params.txt"
-    save_params(model, path)
-    loaded = load_params(path)
-    for (w, b), (wl, bl) in zip(model.params, loaded):
-        assert np.array_equal(w, wl)
-        assert np.array_equal(b, bl)
-
-
-def test_params_load_rejects_garbage(tmp_path):
-    bad = tmp_path / "bad.txt"
-    bad.write_text("not a params file\n")
-    with pytest.raises(ValueError):
-        load_params(bad)
-
-
-def test_params_load_rejects_missing_bias_line(tmp_path, rng):
-    x, y = make_blobs(20, rng)
-    loss = BoundLoss(LossSpec("cross_entropy", ALPHA6))
-    model = train(ModelSpec("linear", 2, 2, init_seed=0), loss,
-                  (x[:15], y[:15]), (x[15:], y[15:]),
-                  TrainConfig(learning_rate=0.1, n_epochs=3))
-    path = tmp_path / "params.txt"
-    save_params(model, path)
-    lines = path.read_text().splitlines()
-    assert lines[-1].startswith("bias ")
-    path.write_text("\n".join(lines[:-1] + ["0.0 0.0"]) + "\n")
-    with pytest.raises(ValueError, match="params.txt"):
-        load_params(path)
-    path.write_text("\n".join(lines[:-1]) + "\n")
-    with pytest.raises(ValueError, match="params.txt"):
-        load_params(path)
-    path.write_text("\n".join(lines[:2]) + "\n")
-    with pytest.raises(ValueError, match="params.txt"):
-        load_params(path)
-
-
-def test_history_csv_export(tmp_path, rng):
-    x, y = make_blobs(30, rng)
-    loss = BoundLoss(LossSpec("cross_entropy", ALPHA6))
-    model = train(ModelSpec("linear", 2, 2, init_seed=0), loss,
-                  (x[:20], y[:20]), (x[20:], y[20:]),
-                  TrainConfig(learning_rate=0.1, n_epochs=5))
-    path = tmp_path / "history.csv"
-    export_history_csv(model, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "epoch,train_loss,val_loss"
-    assert len(lines) == 7  # header + epochs 0..5
-    epoch, tl, vl = lines[1].split(",")
-    assert float(tl) == model.history[0, 0]
-
-
 # --- fused epoch against the reference loop ------------------------------------------
 
 
@@ -394,7 +317,6 @@ def reference_train(spec, loss, train_xy, val_xy, cfg, selection_metric=None):
     x_tr, y_tr = np.asarray(train_xy[0], float), np.asarray(train_xy[1], int)
     x_va, y_va = np.asarray(val_xy[0], float), np.asarray(val_xy[1], int)
     params = init_model(spec)
-    rng = np.random.default_rng(cfg.seed)
 
     def epoch_losses():
         return (_reference_mean_loss(params, loss, x_tr, y_tr),
@@ -416,15 +338,8 @@ def reference_train(spec, loss, train_xy, val_xy, cfg, selection_metric=None):
     best_params = [(w.copy(), b.copy()) for w, b in params]
     for epoch in range(1, cfg.n_epochs + 1):
         try:
-            if cfg.batch_size is None:
-                _, grads = mean_loss_and_param_grads(params, loss, x_tr, y_tr)
-                params = step(grads)
-            else:
-                order = rng.permutation(len(x_tr))
-                for start in range(0, len(x_tr), cfg.batch_size):
-                    idx = order[start : start + cfg.batch_size]
-                    _, grads = mean_loss_and_param_grads(params, loss, x_tr[idx], y_tr[idx])
-                    params = step(grads)
+            _, grads = mean_loss_and_param_grads(params, loss, x_tr, y_tr)
+            params = step(grads)
             tl, vl = epoch_losses()
         except ValueError as exc:
             raise TrainingDiverged(epoch) from exc
@@ -443,8 +358,6 @@ LOSS_KIND_NAMES = ("cross_entropy", "scaled_cross_entropy", "embedding",
                    "embedding_softmax", "weighted_hinge")
 TRAIN_MODES = {
     "linear_full_batch": (dict(kind="linear"), dict(learning_rate=1.0, n_epochs=60)),
-    "linear_minibatch": (dict(kind="linear"),
-                         dict(learning_rate=0.5, n_epochs=25, batch_size=32, seed=11)),
     "mlp_full_batch": (dict(kind="mlp", hidden_dims=(16, 16)),
                        dict(learning_rate=0.05, n_epochs=40)),
 }
