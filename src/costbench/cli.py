@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .harness import (
@@ -30,8 +31,6 @@ from .harness import (
 def _cmd_run(args) -> int:
     cfg = parse_config(args.config)
     if args.workers is not None:
-        from dataclasses import replace
-
         cfg = replace(cfg, workers=args.workers)
     rows = run_experiment(cfg)
     write_rows_csv(rows, cfg.rows_csv)

@@ -1,5 +1,5 @@
-"""Datasets: the synthetic two-feature task with known posterior, UCI loaders
-with recorded preprocessing, and deterministic subsample/split machinery.
+"""Datasets: the synthetic two-feature task with known posterior, UCI loaders,
+and deterministic subsample/split machinery.
 
 The synthetic task draws a balanced binary label in {-1, +1} (stored as
 indices 0 and 1), a scale feature x2 uniform on [0, 1], and x1 normal with
@@ -9,22 +9,20 @@ calibration diagnostics.
 
 Raw UCI files live under <data_dir>/<name>/raw.<ext> next to an optional
 ``manifest`` file recording the expected sha256; a mismatch warns rather than
-fails. Parsed datasets cache to a columnar text file for fast reload. The
-data directory is ./data by default, overridden by $COSTBENCH_DATA_DIR.
+fails. Loading parses the raw file and writes nothing to the data directory.
+The data directory is ./data by default, overridden by $COSTBENCH_DATA_DIR.
 """
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .costs import (
-    CostMatrix,
     SimplexDist,
     german_credit_deferral_matrix,
     german_credit_matrix,
@@ -36,69 +34,11 @@ def data_dir() -> Path:
     return Path(os.environ.get("COSTBENCH_DATA_DIR", "data"))
 
 
-# ---------------------------------------------------------------------------
-# Preprocessing records: enough to replay the exact transform on new rows.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ColumnTransform:
-    name: str
-    kind: str  # "numeric" | "categorical"
-    mean: float = 0.0
-    scale: float = 1.0
-    categories: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class Preprocessing:
-    columns: tuple[ColumnTransform, ...]
-    n_dropped_rows: int = 0
-
-    @property
-    def feature_names(self) -> tuple[str, ...]:
-        names = []
-        for col in self.columns:
-            if col.kind == "numeric":
-                names.append(col.name)
-            else:
-                names.extend(f"{col.name}={c}" for c in col.categories)
-        return tuple(names)
-
-    def apply(self, raw_rows: list[list[str]]) -> np.ndarray:
-        """Replay the recorded transform; unknown categories are an error."""
-        out = np.empty((len(raw_rows), len(self.feature_names)))
-        for i, row in enumerate(raw_rows):
-            if len(row) != len(self.columns):
-                raise ValueError(
-                    f"row has {len(row)} fields, transform expects {len(self.columns)}"
-                )
-            pos = 0
-            for tok, col in zip(row, self.columns):
-                if col.kind == "numeric":
-                    out[i, pos] = (float(tok) - col.mean) / col.scale
-                    pos += 1
-                else:
-                    width = len(col.categories)
-                    try:
-                        j = col.categories.index(tok)
-                    except ValueError:
-                        raise ValueError(
-                            f"unknown category {tok!r} for column {col.name!r}"
-                        ) from None
-                    out[i, pos : pos + width] = 0.0
-                    out[i, pos + j] = 1.0
-                    pos += width
-        return out
-
-
 @dataclass(frozen=True, eq=False)
 class Dataset:
     features: np.ndarray
     labels: np.ndarray
     label_map: dict[str, int]
-    source: dict  # {"kind": "synthetic"|"uci", ...provenance...}
-    preprocessing: Preprocessing | None = None
 
     def __post_init__(self):
         f = np.asarray(self.features, dtype=float)
@@ -132,7 +72,6 @@ class SplitIndices:
     train: np.ndarray
     val: np.ndarray
     test: np.ndarray
-    seed: int
 
     def __post_init__(self):
         sets = [set(map(int, s)) for s in (self.train, self.val, self.test)]
@@ -164,7 +103,6 @@ def sample_synthetic(n: int, rng_seed: int) -> Dataset:
         features=np.column_stack([x1, x2]),
         labels=labels,
         label_map=dict(SYNTHETIC_LABEL_MAP),
-        source={"kind": "synthetic", "seed": rng_seed, "n": n},
     )
 
 
@@ -298,14 +236,6 @@ _MISSING_TOKENS = {"", "?", "NA", "NaN", "nan"}
 _LOAD_MEMO: dict = {}
 
 
-def _is_float(tok: str) -> bool:
-    try:
-        float(tok)
-        return True
-    except ValueError:
-        return False
-
-
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -314,7 +244,7 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _check_manifest(spec: UciSpec, raw_path: Path) -> str:
+def _check_manifest(spec: UciSpec, raw_path: Path) -> None:
     digest = _sha256(raw_path)
     manifest = raw_path.parent / "manifest"
     if manifest.exists():
@@ -329,7 +259,6 @@ def _check_manifest(spec: UciSpec, raw_path: Path) -> str:
                 f"{spec.name}: raw file hash {digest[:12]}... does not match "
                 f"manifest {want[:12]}...; proceeding with the file on disk"
             )
-    return digest
 
 
 def _parse_delimited(text: str, spec: UciSpec) -> tuple[list[str] | None, list[list[str]]]:
@@ -348,17 +277,18 @@ def _parse_delimited(text: str, spec: UciSpec) -> tuple[list[str] | None, list[l
     return header, rows
 
 
-def load_uci(name: str, path=None, use_cache: bool = True) -> tuple[Dataset, CostMatrix]:
-    """Load, preprocess and cache a named UCI dataset with its cost matrix.
+def load_uci(name: str) -> Dataset:
+    """Load and preprocess a named UCI dataset from its raw file.
 
-    Categorical columns are one-hot encoded; numeric columns standardized to
-    mean 0 and variance 1 over the full dataset (before any subsampling).
-    Incomplete rows are dropped and counted.
+    Incomplete rows are dropped. A column is numeric when every token parses
+    as a float; it is standardized to mean 0 and variance 1 over the full
+    dataset (before any subsampling), and a constant column is only centered.
+    Any other column is one-hot encoded over its sorted distinct values.
     """
     if name not in UCI_SPECS:
         raise ValueError(f"unknown dataset {name!r}; one of {sorted(UCI_SPECS)}")
     spec = UCI_SPECS[name]
-    raw_path = Path(path) if path is not None else data_dir() / spec.dirname / spec.filename
+    raw_path = data_dir() / spec.dirname / spec.filename
     if not raw_path.exists():
         raise FileNotFoundError(
             f"{name}: raw file {raw_path} not found; fetch it from {spec.url} "
@@ -366,17 +296,9 @@ def load_uci(name: str, path=None, use_cache: bool = True) -> tuple[Dataset, Cos
         )
     stat = raw_path.stat()
     memo_key = (name, str(raw_path), stat.st_mtime_ns, stat.st_size)
-    if use_cache and memo_key in _LOAD_MEMO:
+    if memo_key in _LOAD_MEMO:
         return _LOAD_MEMO[memo_key]
-    digest = _check_manifest(spec, raw_path)
-
-    cache_path = raw_path.parent / "processed.tsv"
-    if use_cache and cache_path.exists():
-        cached = _read_cache(cache_path, digest)
-        if cached is not None:
-            result = (cached, spec.cost_factory())
-            _LOAD_MEMO[memo_key] = result
-            return result
+    _check_manifest(spec, raw_path)
 
     header, rows = _parse_delimited(raw_path.read_text(), spec)
     if not rows:
@@ -390,18 +312,13 @@ def load_uci(name: str, path=None, use_cache: bool = True) -> tuple[Dataset, Cos
         label_idx = header.index(spec.label_column)
 
     n_cols = len(rows[0])
-    complete = [r for r in rows if len(r) == n_cols and not any(t in _MISSING_TOKENS for t in r)]
-    n_dropped = len(rows) - len(complete)
+    complete = [r for r in rows if len(r) == n_cols and _MISSING_TOKENS.isdisjoint(r)]
     if not complete:
         raise ValueError(f"{name}: every row was incomplete")
-
-    raw_labels = [r[label_idx] for r in complete]
-    feat_rows = [[t for i, t in enumerate(r) if i != label_idx] for r in complete]
-    feat_names = (
-        [h for i, h in enumerate(header) if i != label_idx]
-        if header
-        else [f"col{i}" for i in range(n_cols) if i != label_idx]
-    )
+    # One list per column. zip(*complete) would allocate an iterator per row,
+    # and the garbage collections that triggers double the transpose time.
+    columns = [[r[j] for r in complete] for j in range(n_cols)]
+    raw_labels = columns.pop(label_idx)
 
     if spec.label_values is not None:
         label_map = {v: i for i, v in enumerate(spec.label_values)}
@@ -410,7 +327,12 @@ def load_uci(name: str, path=None, use_cache: bool = True) -> tuple[Dataset, Cos
         except KeyError as exc:
             raise ValueError(f"{name}: unexpected label value {exc}") from None
     else:
-        codes = [int(float(v)) for v in raw_labels]
+        codes = []
+        for v in raw_labels:
+            code = float(v)
+            if not code.is_integer():
+                raise ValueError(f"{name}: non-integer label value {v!r}")
+            codes.append(int(code))
         label_map = {str(c): c for c in sorted(set(codes))}
         labels = np.array(codes, dtype=int)
     if len(label_map) != spec.n_classes:
@@ -418,109 +340,31 @@ def load_uci(name: str, path=None, use_cache: bool = True) -> tuple[Dataset, Cos
             f"{name}: found {len(label_map)} classes, expected {spec.n_classes}"
         )
 
-    transforms = []
-    for j, col_name in enumerate(feat_names):
-        column = [r[j] for r in feat_rows]
-        if all(_is_float(t) for t in column):
-            vals = np.array([float(t) for t in column])
-            mean = float(vals.mean())
-            scale = float(vals.std())
-            if scale == 0.0:
-                scale = 1.0  # constant column: centered, left unscaled
-            transforms.append(ColumnTransform(col_name, "numeric", mean, scale))
-        else:
-            cats = tuple(sorted(set(column)))
-            transforms.append(ColumnTransform(col_name, "categorical", categories=cats))
-    prep = Preprocessing(tuple(transforms), n_dropped)
-    features = prep.apply(feat_rows)
+    blocks = []
+    for column in columns:
+        try:
+            vals = np.fromiter(map(float, column), float, len(column))
+        except ValueError:
+            index = {c: j for j, c in enumerate(sorted(set(column)))}
+            positions = np.array([index[t] for t in column])
+            blocks.append(positions[:, None] == np.arange(len(index)))
+            continue
+        scale = vals.std()
+        if scale == 0.0:
+            scale = 1.0  # constant column: centered, left unscaled
+        blocks.append(((vals - vals.mean()) / scale)[:, None])
 
     ds = Dataset(
-        features=features,
+        features=np.hstack(blocks),
         labels=labels,
         label_map={str(k): v for k, v in label_map.items()},
-        source={
-            "kind": "uci",
-            "name": spec.name,
-            "file": str(raw_path),
-            "sha256": digest,
-            "n_dropped_rows": n_dropped,
-        },
-        preprocessing=prep,
     )
     if len(ds) != spec.expected_rows:
         warnings.warn(
             f"{name}: parsed {len(ds)} rows, expected {spec.expected_rows}"
         )
-    if use_cache:
-        try:
-            _write_cache(cache_path, ds, digest)
-        except OSError as exc:
-            warnings.warn(f"{name}: could not write cache: {exc}")
-        _LOAD_MEMO[memo_key] = (ds, spec.cost_factory())
-    return ds, spec.cost_factory()
-
-
-def _write_cache(path: Path, ds: Dataset, digest: str) -> None:
-    """Columnar text cache: kind header, name header, then one row per sample."""
-    prep = ds.preprocessing
-    names = ("label",) + (prep.feature_names if prep else tuple(
-        f"f{i}" for i in range(ds.n_features)
-    ))
-    meta = {
-        "raw_sha256": digest,
-        "label_map": ds.label_map,
-        "source": ds.source,
-        "n_dropped_rows": prep.n_dropped_rows if prep else 0,
-        "columns": [
-            {
-                "name": c.name,
-                "kind": c.kind,
-                "mean": c.mean,
-                "scale": c.scale,
-                "categories": list(c.categories),
-            }
-            for c in (prep.columns if prep else ())
-        ],
-    }
-    lines = [
-        "#meta\t" + json.dumps(meta, sort_keys=True),
-        "#kinds\t" + "\t".join(["label"] + ["num"] * ds.n_features),
-        "#names\t" + "\t".join(names),
-    ]
-    for label, row in zip(ds.labels, ds.features):
-        lines.append("\t".join([str(int(label))] + [repr(float(v)) for v in row]))
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _read_cache(path: Path, digest: str) -> Dataset | None:
-    lines = path.read_text().splitlines()
-    if len(lines) < 4 or not lines[0].startswith("#meta\t"):
-        return None
-    meta = json.loads(lines[0].split("\t", 1)[1])
-    if meta.get("raw_sha256") != digest:
-        return None  # raw file changed since the cache was written
-    labels = []
-    feats = []
-    for line in lines[3:]:
-        toks = line.split("\t")
-        labels.append(int(toks[0]))
-        feats.append([float(t) for t in toks[1:]])
-    prep = Preprocessing(
-        tuple(
-            ColumnTransform(
-                c["name"], c["kind"], c["mean"], c["scale"], tuple(c["categories"])
-            )
-            for c in meta["columns"]
-        ),
-        meta.get("n_dropped_rows", 0),
-    )
-    return Dataset(
-        features=np.array(feats),
-        labels=np.array(labels, dtype=int),
-        label_map={k: int(v) for k, v in meta["label_map"].items()},
-        source=meta["source"],
-        preprocessing=prep if meta["columns"] else None,
-    )
+    _LOAD_MEMO[memo_key] = ds
+    return ds
 
 
 def subsample_and_split(
@@ -543,5 +387,4 @@ def subsample_and_split(
         train=chosen[:n_train],
         val=chosen[n_train : n_train + n_val],
         test=chosen[n_train + n_val :],
-        seed=seed,
     )

@@ -18,6 +18,7 @@ from .costs import CostMatrix, simplex_grid
 from .data import posterior_pos_many, sample_synthetic
 from .embedding import EmbeddingSurrogate, game_values, link_many, sample_predictions
 from .losses import log_softmax
+from .models import forward
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +222,6 @@ def minimizability_gap(
     are conditional expectations, so the per-point excess is nonnegative and
     the gap estimate cannot dip below zero up to estimator noise.
     """
-    from .models import forward
-
     scores = forward(trained_model.params, features)
     U = trained_model.loss.link_input(scores)
     cond = np.array([risk.cond_risk(u[None, :], p)[0] for u, p in zip(U, posteriors)])

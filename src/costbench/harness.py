@@ -21,7 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import data as data_mod
-from .costs import CostMatrix, synthetic_cost_matrix
+from .costs import CostMatrix, confusion, cost_sensitive_loss, synthetic_cost_matrix
+from .diagnostics import boundary_slope
 from .losses import LOSS_KINDS, BoundLoss, LossSpec, postprocess_search
 from .models import (
     DEFAULT_HIDDEN_DIMS,
@@ -50,11 +51,14 @@ class ConfigError(ValueError):
     """Invalid experiment configuration (CLI exit code 2)."""
 
 
+SYNTHETIC_ALPHA = 1.0 / 6.0
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     dataset: str = "synthetic"
     n_samples: int = 500
-    alpha: float = 1.0 / 6.0          # synthetic only
+    alpha: float = SYNTHETIC_ALPHA    # synthetic only
     losses: tuple[str, ...] = (
         "cross_entropy",
         "cross_entropy_post",
@@ -79,6 +83,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.dataset not in DATASET_NAMES:
             raise ConfigError(f"unknown dataset {self.dataset!r}")
+        if self.dataset != "synthetic" and self.alpha != SYNTHETIC_ALPHA:
+            raise ConfigError(
+                f"alpha applies to the synthetic dataset only; {self.dataset} "
+                f"trains on its own cost matrix (got alpha={self.alpha!r})"
+            )
         if self.n_seeds < 1:
             raise ConfigError("n_seeds must be >= 1")
         if not self.losses:
@@ -268,9 +277,8 @@ def load_dataset(cfg: ExperimentConfig, split_seed: int):
     """Dataset + cost matrix + splits for one seed index."""
     if cfg.dataset == "synthetic":
         ds = data_mod.sample_synthetic(cfg.n_samples, rng_seed=split_seed)
-        ds = replace(ds, source={**ds.source, "alpha": cfg.alpha})
     else:
-        ds, _ = data_mod.load_uci(cfg.dataset)
+        ds = data_mod.load_uci(cfg.dataset)
     cost = _dataset_cost_matrix(cfg.dataset, cfg.alpha)
     splits = data_mod.subsample_and_split(ds, cfg.n_samples, cfg.fractions, seed=split_seed)
     return ds, cost, splits
@@ -306,12 +314,10 @@ def run_cell(cfg: ExperimentConfig, label: str, seed_index: int) -> ResultRow:
         rule = loss.default_rule()
         selection_metric = None
         if cfg.selection == "val_csl":
-            from .costs import confusion as conf_fn, cost_sensitive_loss as csl_fn
-
             def selection_metric(params, _loss=loss, _rule=rule, _va=va, _cost=cost):
                 preds = _loss.decide_batch(forward(params, _va[0]), _rule)
-                cm = conf_fn(preds, _va[1], _cost.n_reports, _cost.n_labels)
-                return csl_fn(cm, _cost)
+                cm = confusion(preds, _va[1], _cost.n_reports, _cost.n_labels)
+                return cost_sensitive_loss(cm, _cost)
 
         model = train(spec, loss, tr, va, tcfg, selection_metric=selection_metric)
         if label == "cross_entropy_post":
@@ -325,8 +331,6 @@ def run_cell(cfg: ExperimentConfig, label: str, seed_index: int) -> ResultRow:
         result = evaluate(model, rule, te, cost)
         slope = None
         if cfg.model_kind == "linear" and ds.n_features == 2 and spec.out_dim <= 2:
-            from .diagnostics import boundary_slope
-
             rep = boundary_slope(model, label)
             slope = float("nan") if rep.degenerate else rep.slope
         return ResultRow(

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .costs import (
+    TIE_EPS,
     CostMatrix,
     SimplexDist,
     bayes_optimal_reports,
@@ -108,8 +109,6 @@ def run_verify(
             eta = posterior_pos_many(x)
             # Expected cost of each report under the exact posterior, with the
             # same tie tolerance the enumerated rule uses.
-            from .costs import TIE_EPS
-
             c = np.column_stack([eta * (1.0 - alpha), (1.0 - eta) * alpha])
             in_optimal = c <= c.min(axis=1, keepdims=True) + TIE_EPS
             want = (closed > 0).astype(int)

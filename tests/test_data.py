@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -202,7 +204,7 @@ def test_split_too_large_rejected():
 
 def test_split_indices_disjointness_enforced():
     with pytest.raises(ValueError):
-        SplitIndices(np.array([0, 1]), np.array([1, 2]), np.array([3]), seed=0)
+        SplitIndices(np.array([0, 1]), np.array([1, 2]), np.array([3]))
 
 
 # --- UCI loading on fixture files --------------------------------------------------
@@ -229,77 +231,63 @@ def german_dir(tmp_path, monkeypatch):
     return d
 
 
+def _feature_layout(raw_rows):
+    """Feature-matrix position of each numeric raw column, and the width.
+
+    Columns come out in raw order: a numeric column is one feature, any
+    other column one feature per distinct value.
+    """
+    columns = list(zip(*raw_rows))
+    positions, pos = {}, 0
+    for j, column in enumerate(columns):
+        if all(t.isdigit() for t in column):
+            positions[j] = pos
+            pos += 1
+        else:
+            pos += len(set(column))
+    return positions, pos
+
+
 def test_load_german_fixture(german_dir):
     with pytest.warns(UserWarning):  # row count differs from the real dataset
-        ds, cost = load_uci("german_credit")
+        ds = load_uci("german_credit")
+    cost = UCI_SPECS["german_credit"].cost_factory()
     assert cost.entries.tolist() == [[0.0, 5.0], [1.0, 0.0]]
     assert len(ds) == 6
     assert ds.labels.tolist() == [0, 1, 0, 0, 1, 0]
     # Numeric columns standardized over the full dataset.
-    prep = ds.preprocessing
-    numeric_cols = [i for i, c in enumerate(prep.columns) if c.kind == "numeric"]
-    assert numeric_cols, "expected numeric columns detected"
-    feats = ds.features
-    name_idx = {n: i for i, n in enumerate(prep.feature_names)}
-    for c in prep.columns:
-        if c.kind == "numeric":
-            col = feats[:, name_idx[c.name]]
-            assert abs(col.mean()) <= 1e-8
-            if c.scale != 1.0:
-                assert abs(col.var() - 1.0) <= 1e-6
+    numeric, width = _feature_layout([r.split()[:-1] for r in GERMAN_ROWS])
+    assert numeric, "expected numeric columns detected"
+    assert ds.n_features == width
+    for pos in numeric.values():
+        col = ds.features[:, pos]
+        assert abs(col.mean()) <= 1e-8
+        if np.ptp(col) > 0:
+            assert abs(col.var() - 1.0) <= 1e-6
+    # Every categorical block is one-hot.
+    onehot = np.delete(ds.features, list(numeric.values()), axis=1)
+    assert set(np.unique(onehot)) == {0.0, 1.0}
 
 
 def test_load_german_deferral_shares_data(german_dir):
     with pytest.warns(UserWarning):
-        ds, cost = load_uci("german_credit_deferral")
+        ds = load_uci("german_credit_deferral")
+    cost = UCI_SPECS["german_credit_deferral"].cost_factory()
     assert cost.entries.tolist() == [[0.0, 5.0], [1.0, 0.0], [0.5, 0.5]]
     assert len(ds) == 6
 
 
-def test_preprocessing_replay_bit_for_bit(german_dir):
-    with pytest.warns(UserWarning):
-        ds, _ = load_uci("german_credit", use_cache=False)
-    raw_rows = [r.split() for r in GERMAN_ROWS]
-    feat_rows = [r[:-1] for r in raw_rows]
-    replayed = ds.preprocessing.apply(feat_rows)
-    assert np.array_equal(replayed, ds.features)
-
-
-def test_preprocessing_unknown_category_rejected(german_dir):
-    with pytest.warns(UserWarning):
-        ds, _ = load_uci("german_credit", use_cache=False)
-    row = GERMAN_ROWS[0].split()[:-1]
-    row[0] = "A99"
-    with pytest.raises(ValueError):
-        ds.preprocessing.apply([row])
-
-
-def test_cache_round_trip(german_dir):
-    import costbench.data as data_mod
-
-    with pytest.warns(UserWarning):
-        first, _ = load_uci("german_credit")
-    assert (german_dir / "processed.tsv").exists()
-    # Force the second load through the on-disk cache, not the process memo.
-    data_mod._LOAD_MEMO.clear()
-    second, _ = load_uci("german_credit")
-    assert np.array_equal(first.features, second.features)
-    assert np.array_equal(first.labels, second.labels)
-    assert second.label_map == first.label_map
-    assert second.preprocessing is not None
-
-
 def test_load_memo_reuses_dataset(german_dir):
     with pytest.warns(UserWarning):
-        first, _ = load_uci("german_credit")
-    second, _ = load_uci("german_credit")
+        first = load_uci("german_credit")
+    second = load_uci("german_credit")
     assert second is first  # same immutable object from the process memo
 
 
 def test_manifest_mismatch_warns(german_dir):
     (german_dir / "manifest").write_text("sha256 " + "0" * 64 + "\n")
     with pytest.warns(UserWarning) as caught:
-        load_uci("german_credit", use_cache=False)
+        load_uci("german_credit")
     assert any("hash" in str(w.message) for w in caught)
 
 
@@ -331,8 +319,8 @@ def test_load_student_fixture(tmp_path, monkeypatch):
     (d / "raw.csv").write_text(STUDENT_HEADER + "\n" + "\n".join(STUDENT_ROWS) + "\n")
     monkeypatch.setenv("COSTBENCH_DATA_DIR", str(root))
     with pytest.warns(UserWarning):
-        ds, cost = load_uci("student_performance")
-    assert cost.n_reports == 3
+        ds = load_uci("student_performance")
+    assert UCI_SPECS["student_performance"].cost_factory().n_reports == 3
     assert ds.labels.tolist() == [0, 2, 1, 2, 0]
     assert ds.label_map == {"Dropout": 0, "Enrolled": 1, "Graduate": 2}
 
@@ -349,9 +337,9 @@ def test_load_diabetes_fixture(tmp_path, monkeypatch):
     (d / "raw.csv").write_text(DIABETES_HEADER + "\n" + "\n".join(DIABETES_ROWS) + "\n")
     monkeypatch.setenv("COSTBENCH_DATA_DIR", str(root))
     with pytest.warns(UserWarning):
-        ds, cost = load_uci("diabetes")
+        ds = load_uci("diabetes")
     assert ds.labels.tolist() == [0, 2, 1, 0]
-    assert cost.n_labels == 3
+    assert UCI_SPECS["diabetes"].cost_factory().n_labels == 3
 
 
 def test_incomplete_rows_dropped(tmp_path, monkeypatch):
@@ -362,9 +350,76 @@ def test_incomplete_rows_dropped(tmp_path, monkeypatch):
     (d / "raw.csv").write_text(DIABETES_HEADER + "\n" + "\n".join(rows) + "\n")
     monkeypatch.setenv("COSTBENCH_DATA_DIR", str(root))
     with pytest.warns(UserWarning):
-        ds, _ = load_uci("diabetes", use_cache=False)
+        ds = load_uci("diabetes")
     assert len(ds) == 4
-    assert ds.source["n_dropped_rows"] == 1
+    assert ds.labels.tolist() == [0, 2, 1, 0]  # the incomplete class-1 row is gone
+
+
+def test_non_integer_label_code_rejected(tmp_path, monkeypatch):
+    root = tmp_path / "data"
+    d = root / "diabetes"
+    d.mkdir(parents=True)
+    rows = DIABETES_ROWS + ["1.5,1.0,30.0,0.0"]
+    (d / "raw.csv").write_text(DIABETES_HEADER + "\n" + "\n".join(rows) + "\n")
+    monkeypatch.setenv("COSTBENCH_DATA_DIR", str(root))
+    with pytest.raises(ValueError, match="diabetes: non-integer label value '1.5'"):
+        load_uci("diabetes")
+
+
+def test_load_leaves_data_dir_unchanged(german_dir):
+    before = {p.name: p.read_bytes() for p in german_dir.iterdir()}
+    with pytest.warns(UserWarning):
+        load_uci("german_credit")
+    assert {p.name: p.read_bytes() for p in german_dir.iterdir()} == before
+
+
+def _load_digest(ds):
+    h = hashlib.sha256()
+    h.update(ds.features.astype("<f8").tobytes())
+    h.update(ds.labels.astype("<i8").tobytes())
+    h.update(repr(sorted(ds.label_map.items())).encode())
+    return h.hexdigest()
+
+
+# Digests of features, labels and label map, taken when load_uci still went
+# through a per-token transform, so the column-wise parse must match it bit
+# for bit.
+PINNED_LOADS = {
+    "german": ("german_credit", "raw.data",
+               "4ad0b78be83a4094bc6b823856eeab9c1c61707a6ba198670db3c619debd7508"),
+    "deferral": ("german_credit_deferral", "raw.data",
+                 "4ad0b78be83a4094bc6b823856eeab9c1c61707a6ba198670db3c619debd7508"),
+    "student": ("student_performance", "raw.csv",
+                "b4da0759b7e44905faf98b5e9861828af522d8d5b4216b6fdde160d75560ac3e"),
+    "diabetes_incomplete": ("diabetes", "raw.csv",
+                            "c2e58f236adf34f3c95837262f1385511d4fc7db8eda0d310dc66686ac68c800"),
+    "pseudo_german": ("german_credit", "raw.data",
+                      "ac5bff9abfe5cd635b3dadf9dc04bd183189ed973fbcdddef1620f2af3f78340"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_LOADS))
+def test_uci_load_bytes_pinned(key, tmp_path, monkeypatch):
+    from test_integration_uci import write_pseudo_german
+
+    name, filename, want = PINNED_LOADS[key]
+    d = tmp_path / UCI_SPECS[name].dirname
+    d.mkdir()
+    raw = d / filename
+    if key == "pseudo_german":
+        write_pseudo_german(raw)
+    else:
+        lines = {
+            "german": GERMAN_ROWS,
+            "deferral": GERMAN_ROWS,
+            "student": [STUDENT_HEADER] + STUDENT_ROWS,
+            "diabetes_incomplete": [DIABETES_HEADER] + DIABETES_ROWS + ["1.0,,30.0,0.0"],
+        }[key]
+        raw.write_text("\n".join(lines) + "\n")
+    monkeypatch.setenv("COSTBENCH_DATA_DIR", str(tmp_path))
+    with pytest.warns(UserWarning):  # row counts differ from the real datasets
+        ds = load_uci(name)
+    assert _load_digest(ds) == want
 
 
 # --- real UCI files, exercised only when present -----------------------------------
@@ -379,6 +434,6 @@ def test_real_uci_when_available(name, monkeypatch):
     raw = data_dir() / spec.dirname / spec.filename
     if not raw.exists():
         pytest.skip(f"{raw} not present; see scripts/fetch_uci.py")
-    ds, cost = load_uci(name)
+    ds = load_uci(name)
     assert len(ds) == spec.expected_rows
     assert ds.n_classes == spec.n_classes

@@ -173,6 +173,20 @@ def test_config_rejects_loss_the_matrix_cannot_take(tmp_path, capsys):
     assert "losses: weighted_hinge" in capsys.readouterr().err
 
 
+def test_config_rejects_alpha_off_the_synthetic_task(tmp_path):
+    # A UCI dataset trains on its own matrix, so a set alpha would be ignored.
+    with pytest.raises(ConfigError, match="alpha"):
+        ExperimentConfig(dataset="german_credit", alpha=5.0)
+    with pytest.raises(ConfigError, match="alpha"):
+        ExperimentConfig(dataset="student_performance", alpha=0.25)
+    assert ExperimentConfig(dataset="german_credit").alpha == ExperimentConfig().alpha
+    assert ExperimentConfig(alpha=0.25).alpha == 0.25
+    path = tmp_path / "credit.cfg"
+    path.write_text("[experiment]\ndataset = german_credit\nalpha = 1/4\n")
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: alpha")):
+        parse_config(path)
+
+
 def test_parse_config_rejects_batch_size(tmp_path):
     path = tmp_path / "minibatch.cfg"
     path.write_text("[train]\nbatch_size = 32\n")
