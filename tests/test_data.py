@@ -383,17 +383,18 @@ def _load_digest(ds):
 
 # Digests of features, labels and label map, taken when load_uci still went
 # through a per-token transform, so the column-wise parse must match it bit
-# for bit.
+# for bit. Raw lines of None mean the 700-row pseudo-german file.
 PINNED_LOADS = {
-    "german": ("german_credit", "raw.data",
+    "german": ("german_credit", "raw.data", GERMAN_ROWS,
                "4ad0b78be83a4094bc6b823856eeab9c1c61707a6ba198670db3c619debd7508"),
-    "deferral": ("german_credit_deferral", "raw.data",
+    "deferral": ("german_credit_deferral", "raw.data", GERMAN_ROWS,
                  "4ad0b78be83a4094bc6b823856eeab9c1c61707a6ba198670db3c619debd7508"),
-    "student": ("student_performance", "raw.csv",
+    "student": ("student_performance", "raw.csv", [STUDENT_HEADER] + STUDENT_ROWS,
                 "b4da0759b7e44905faf98b5e9861828af522d8d5b4216b6fdde160d75560ac3e"),
     "diabetes_incomplete": ("diabetes", "raw.csv",
+                            [DIABETES_HEADER] + DIABETES_ROWS + ["1.0,,30.0,0.0"],
                             "c2e58f236adf34f3c95837262f1385511d4fc7db8eda0d310dc66686ac68c800"),
-    "pseudo_german": ("german_credit", "raw.data",
+    "pseudo_german": ("german_credit", "raw.data", None,
                       "ac5bff9abfe5cd635b3dadf9dc04bd183189ed973fbcdddef1620f2af3f78340"),
 }
 
@@ -402,20 +403,13 @@ PINNED_LOADS = {
 def test_uci_load_bytes_pinned(key, tmp_path, monkeypatch):
     from test_integration_uci import write_pseudo_german
 
-    name, filename, want = PINNED_LOADS[key]
+    name, filename, lines, want = PINNED_LOADS[key]
     d = tmp_path / UCI_SPECS[name].dirname
     d.mkdir()
-    raw = d / filename
-    if key == "pseudo_german":
-        write_pseudo_german(raw)
+    if lines is None:
+        write_pseudo_german(d / filename)
     else:
-        lines = {
-            "german": GERMAN_ROWS,
-            "deferral": GERMAN_ROWS,
-            "student": [STUDENT_HEADER] + STUDENT_ROWS,
-            "diabetes_incomplete": [DIABETES_HEADER] + DIABETES_ROWS + ["1.0,,30.0,0.0"],
-        }[key]
-        raw.write_text("\n".join(lines) + "\n")
+        (d / filename).write_text("\n".join(lines) + "\n")
     monkeypatch.setenv("COSTBENCH_DATA_DIR", str(tmp_path))
     with pytest.warns(UserWarning):  # row counts differ from the real datasets
         ds = load_uci(name)
