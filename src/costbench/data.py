@@ -339,6 +339,9 @@ def load_uci(name: str) -> Dataset:
         raise ValueError(
             f"{name}: found {len(label_map)} classes, expected {spec.n_classes}"
         )
+    if sorted(label_map.values()) != list(range(spec.n_classes)):
+        raise ValueError(f"{name}: label codes must be 0..{spec.n_classes - 1}, "
+                         f"got {sorted(label_map.values())}")
 
     blocks = []
     for column in columns:

@@ -10,11 +10,11 @@ check in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 
-from .costs import CostMatrix, confusion, cost_sensitive_loss
+from .costs import CostMatrix
 from .embedding import (
     EmbeddingSurrogate,
     build_embedding_surrogate,
@@ -31,18 +31,38 @@ LOSS_KINDS = (
 )
 
 
+# numpy's reductions along a short last axis cost far more than their
+# arithmetic. Below 8 columns numpy sums without pairwise blocking, so adding
+# the columns left to right gives the axis sum's exact bits, as the maximum
+# over the columns gives the axis maximum's.
+_NARROW = 8
+
+
+def _rowmax(x: np.ndarray) -> np.ndarray:
+    """x.max(axis=-1, keepdims=True)."""
+    if x.ndim == 2 and 0 < x.shape[1] < _NARROW:
+        return reduce(np.maximum, x.T)[:, None]
+    return x.max(axis=-1, keepdims=True)
+
+
+def _rowsum(x: np.ndarray) -> np.ndarray:
+    """x.sum(axis=-1, keepdims=True)."""
+    if x.ndim == 2 and 0 < x.shape[1] < _NARROW:
+        return reduce(np.add, x.T)[:, None]
+    return x.sum(axis=-1, keepdims=True)
+
+
 def softmax(scores: np.ndarray) -> np.ndarray:
     """Row-wise softmax with max subtraction for overflow safety."""
     scores = np.asarray(scores, dtype=float)
-    z = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(scores - _rowmax(scores))
+    return e / _rowsum(e)
 
 
 def log_softmax(scores: np.ndarray) -> np.ndarray:
     scores = np.asarray(scores, dtype=float)
-    z = scores - scores.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    z = scores - _rowmax(scores)
+    return z - np.log(_rowsum(np.exp(z)))
 
 
 class NonFiniteScores(ValueError):
@@ -51,7 +71,7 @@ class NonFiniteScores(ValueError):
 
 def _check_scores(scores) -> np.ndarray:
     scores = np.asarray(scores, dtype=float)
-    if not np.all(np.isfinite(scores)):
+    if not np.isfinite(scores).all():
         raise NonFiniteScores("scores must be finite")
     return scores
 
@@ -61,10 +81,10 @@ def cross_entropy_batch(scores: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray,
     scores = _check_scores(scores)
     ys = np.asarray(ys, dtype=int)
     ls = log_softmax(scores)
-    n = len(scores)
-    vals = -ls[np.arange(n), ys]
+    rows = np.arange(len(scores))
+    vals = -ls[rows, ys]
     grads = np.exp(ls)
-    grads[np.arange(n), ys] -= 1.0
+    grads[rows, ys] -= 1.0
     return vals, grads
 
 
@@ -139,7 +159,7 @@ def embedding_softmax_batch(
     U = q @ rep_phi
     vals, g_u = _surrogate_values_and_subgradients(s, U, ys)
     proj = g_u @ rep_phi.T                      # (n, n_rep)
-    grads = q * (proj - (q * proj).sum(axis=1, keepdims=True))
+    grads = q * (proj - _rowsum(q * proj))
     return vals, grads
 
 
@@ -345,15 +365,22 @@ def postprocess_search(
     k = scores_val.shape[1]
     if k != cost.n_reports:
         raise ValueError("weighted argmax needs one score per report")
+    n_labels = cost.n_labels
+    if labels_val.shape != (len(scores_val),):
+        raise ValueError("need one label per validation score row")
+    if labels_val.min() < 0 or labels_val.max() >= n_labels:
+        raise ValueError("label index out of range")
     rng = np.random.default_rng(rng_seed)
     cands = np.vstack([np.full((1, k), 1.0 / k), rng.dirichlet(np.ones(k), n_candidates)])
-    probs = softmax(scores_val)
+    # Every candidate's decisions and confusion counts at once: cell
+    # (c, report, label) of the counts is bin (c * k + report) * L + label.
+    preds = np.argmax(softmax(scores_val)[None] * cands[:, None], axis=2)
+    bins = (np.arange(len(cands))[:, None] * k + preds) * n_labels + labels_val
+    counts = np.bincount(bins.ravel(), minlength=len(cands) * k * n_labels)
+    csls = (counts.reshape(len(cands), -1) * cost.entries.ravel()).sum(axis=1)
+    csls /= len(labels_val)
     best_rule, best_csl = None, np.inf
-    for w in cands:
-        preds = np.argmax(probs * w, axis=1)
-        csl = cost_sensitive_loss(
-            confusion(preds, labels_val, cost.n_reports, cost.n_labels), cost
-        )
+    for w, csl in zip(cands, csls.tolist()):
         if csl < best_csl - 1e-15:
             best_csl = csl
             best_rule = DecisionRule("weighted_argmax", w)

@@ -6,6 +6,7 @@ validation loss. Everything is seeded and bit-reproducible.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,19 +160,20 @@ def train(
     selection_metric, when given, replaces the validation loss as the
     per-epoch selection criterion: a callable params -> float, lower is better.
 
-    Each epoch evaluates the loss once per split. The val column comes from a
-    forward pass over the validation split. The train column of row e is the
-    mean loss that step e + 1's gradient pass computes at those same
-    parameters, and one train forward pass after the last step fills the
-    final row.
+    Each epoch makes one loss pass: one forward pass per split, then one
+    `loss.batch` call on the train and val scores stacked row-wise. Per-sample
+    losses are independent by row, so both history columns are the split means
+    a separate call per split would give. Step e + 1 backpropagates the train
+    rows of that pass.
 
-    Non-finite scores or losses at the parameters after step e >= 1 raise
-    TrainingDiverged(e), also when the train loss shows them one step later.
-    Any other error from a step propagates unchanged.
+    Non-finite scores or losses at the parameters after step e >= 1, on either
+    split, raise TrainingDiverged(e); non-finite scores of the initial model
+    raise NonFiniteScores. Any other error from a step propagates unchanged.
     """
     x_tr, y_tr = np.asarray(train_xy[0], float), np.asarray(train_xy[1], int)
     x_va, y_va = np.asarray(val_xy[0], float), np.asarray(val_xy[1], int)
-    if len(x_tr) == 0 or len(x_va) == 0:
+    n_tr, n_va = len(x_tr), len(x_va)
+    if n_tr == 0 or n_va == 0:
         raise ValueError("train and validation splits must be nonempty")
     if spec.out_dim != loss.out_dim:
         raise ValueError(
@@ -179,37 +181,35 @@ def train(
         )
     params = init_model(spec)
     lr = cfg.learning_rate
+    y_all = np.concatenate([y_tr, y_va])
     history = np.empty((cfg.n_epochs + 1, 2))
-    best_epoch, best_sel, best_params = 0, np.inf, params
+    best_epoch, best_sel = 0, np.inf
 
-    def finish_row(epoch: int, p: Params, tl: float, vl: float) -> None:
-        nonlocal best_epoch, best_sel, best_params
-        if epoch > 0 and not (np.isfinite(tl) and np.isfinite(vl)):
+    for epoch in range(cfg.n_epochs + 1):
+        # Two matmuls per layer: one over the stacked inputs may round
+        # differently, since BLAS can block the rows another way.
+        s_tr, acts = _forward_cache(params, x_tr)
+        s_va, _ = _forward_cache(params, x_va)
+        try:
+            vals, g = loss.batch(np.concatenate([s_tr, s_va]), y_all)
+        except NonFiniteScores as exc:
+            if epoch == 0:
+                raise  # the inputs, not the optimization, are non-finite
+            raise TrainingDiverged(epoch) from exc
+        # np.add.reduce(v) / n is what v.mean() computes, without its wrapper.
+        tl = float(np.add.reduce(vals[:n_tr]) / n_tr)
+        vl = float(np.add.reduce(vals[n_tr:]) / n_va)
+        if epoch > 0 and not (math.isfinite(tl) and math.isfinite(vl)):
             raise TrainingDiverged(epoch)
         history[epoch] = (tl, vl)
-        sel = vl if selection_metric is None else float(selection_metric(p))
+        sel = vl if selection_metric is None else float(selection_metric(params))
         if epoch == 0 or sel < best_sel:
-            best_epoch, best_sel, best_params = epoch, sel, _copy_params(p)
-
-    # Step e first completes row e - 1. `at` is the epoch whose parameters
-    # the running loss pass evaluates.
-    at = 0
-    try:
-        vl = _mean_loss(params, loss, x_va, y_va)
-        for epoch in range(1, cfg.n_epochs + 1):
-            at = epoch - 1
-            tl, grads = mean_loss_and_param_grads(params, loss, x_tr, y_tr)
-            finish_row(at, params, tl, vl)
+            best_epoch, best_sel, best_params = epoch, sel, _copy_params(params)
+        if epoch < cfg.n_epochs:
+            grads = _backward(params, acts, g[:n_tr] / n_tr)
             params = [
                 (w - lr * gw, b - lr * gb) for (w, b), (gw, gb) in zip(params, grads)
             ]
-            at = epoch
-            vl = _mean_loss(params, loss, x_va, y_va)
-        finish_row(at, params, _mean_loss(params, loss, x_tr, y_tr), vl)
-    except NonFiniteScores as exc:
-        if at == 0:
-            raise  # the inputs, not the optimization, are non-finite
-        raise TrainingDiverged(at) from exc
 
     return TrainedModel(spec, loss, best_params, history, best_epoch)
 

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -363,6 +364,19 @@ def test_non_integer_label_code_rejected(tmp_path, monkeypatch):
     (d / "raw.csv").write_text(DIABETES_HEADER + "\n" + "\n".join(rows) + "\n")
     monkeypatch.setenv("COSTBENCH_DATA_DIR", str(root))
     with pytest.raises(ValueError, match="diabetes: non-integer label value '1.5'"):
+        load_uci("diabetes")
+
+
+def test_label_codes_not_starting_at_zero_rejected(tmp_path, monkeypatch):
+    # Three distinct codes pass the class-count check; they must still be 0..2.
+    root = tmp_path / "data"
+    d = root / "diabetes"
+    d.mkdir(parents=True)
+    rows = ["1.0,1.0,40.0,1.0", "2.0,0.0,25.0,0.0", "3.0,1.0,28.0,0.0"]
+    (d / "raw.csv").write_text(DIABETES_HEADER + "\n" + "\n".join(rows) + "\n")
+    monkeypatch.setenv("COSTBENCH_DATA_DIR", str(root))
+    with pytest.raises(ValueError, match=re.escape(
+            "diabetes: label codes must be 0..2, got [1, 2, 3]")):
         load_uci("diabetes")
 
 

@@ -28,6 +28,7 @@ from costbench.losses import (
     embedding_raw_batch,
     embedding_softmax_batch,
     embedding_softmax_loss,
+    log_softmax,
     postprocess_search,
     scaled_cross_entropy,
     softmax,
@@ -44,6 +45,53 @@ def finite_diff(fn, x, h=1e-6):
         e[i] = h
         g[i] = (fn(x + e) - fn(x - e)) / (2 * h)
     return g
+
+
+# --- narrow-axis kernels against the axis reductions --------------------------
+
+
+def ref_softmax(scores):
+    """softmax as axis reductions: the reference the column-wise kernels match."""
+    scores = np.asarray(scores, dtype=float)
+    z = scores - scores.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def ref_log_softmax(scores):
+    scores = np.asarray(scores, dtype=float)
+    z = scores - scores.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+
+
+def _assert_same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def _kernel_inputs(n, k, rng):
+    """Spread magnitudes up to 700, with exact ties in every fourth row."""
+    x = rng.normal(size=(n, k)) * 10.0 ** rng.uniform(-3, np.log10(700), size=(n, k))
+    x[::4] = x[::4, :1]
+    if n > 2:
+        x[1] = 700.0 * np.sign(rng.normal(size=k))
+        x[2, ::2] = -0.0
+    return x
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+@pytest.mark.parametrize("n", [0, 1, 400])
+def test_softmax_kernels_match_axis_reductions(n, k, rng):
+    x = _kernel_inputs(n, k, rng)
+    _assert_same_bits(softmax(x), ref_softmax(x))
+    _assert_same_bits(log_softmax(x), ref_log_softmax(x))
+
+
+@pytest.mark.parametrize("shape", [(5,), (1,), (3, 50, 4), (2, 7, 9)])
+def test_softmax_kernels_other_ranks(shape, rng):
+    x = rng.normal(scale=300.0, size=shape)
+    _assert_same_bits(softmax(x), ref_softmax(x))
+    _assert_same_bits(log_softmax(x), ref_log_softmax(x))
 
 
 # --- cross-entropy ----------------------------------------------------------
@@ -175,13 +223,16 @@ def test_embedding_softmax_wrong_width(student_surrogate):
         embedding_softmax_loss(student_surrogate, np.zeros(4), 0)
 
 
-@pytest.mark.parametrize("name", ["student", "alpha6", "deferral", "zero_one4"])
+@pytest.mark.parametrize("name", ["student", "alpha6", "synthetic", "german",
+                                  "deferral", "zero_one4", "zero_one8"])
 def test_fused_embedding_batches_match_separate_calls(name, rng):
-    from costbench.costs import german_credit_deferral_matrix
+    from costbench.costs import german_credit_deferral_matrix, german_credit_matrix
 
     cost = {"student": STUDENT, "alpha6": ALPHA6,
+            "synthetic": synthetic_cost_matrix(1 / 6),
+            "german": german_credit_matrix(),
             "deferral": german_credit_deferral_matrix(),
-            "zero_one4": zero_one_matrix(4)}[name]
+            "zero_one4": zero_one_matrix(4), "zero_one8": zero_one_matrix(8)}[name]
     s = build_embedding_surrogate(cost)
     # Random points, the embedded points (where several vertices tie) and
     # the midpoints between them.
@@ -197,7 +248,7 @@ def test_fused_embedding_batches_match_separate_calls(name, rng):
     logits = np.vstack([rng.normal(scale=3.0, size=(200, len(rep_phi))),
                         np.zeros((1, len(rep_phi)))])
     ys = rng.integers(0, s.n_labels, len(logits))
-    q = softmax(logits)
+    q = ref_softmax(logits)
     U = q @ rep_phi
     proj = surrogate_subgradients(s, U, ys) @ rep_phi.T
     want_grads = q * (proj - (q * proj).sum(axis=1, keepdims=True))
@@ -307,6 +358,64 @@ def test_embedding_link_rule_requires_surrogate():
 def _val_csl(scores, labels, cost, rule):
     preds = decide_batch(rule, scores)
     return cost_sensitive_loss(confusion(preds, labels, cost.n_reports, cost.n_labels), cost)
+
+
+def ref_postprocess_search(scores_val, labels_val, cost, n_candidates, rng_seed):
+    """One candidate at a time, as the search ran before it was vectorized."""
+    k = scores_val.shape[1]
+    rng = np.random.default_rng(rng_seed)
+    cands = np.vstack([np.full((1, k), 1.0 / k), rng.dirichlet(np.ones(k), n_candidates)])
+    probs = ref_softmax(scores_val)
+    best_rule, best_csl = None, np.inf
+    for w in cands:
+        preds = np.argmax(probs * w, axis=1)
+        csl = cost_sensitive_loss(
+            confusion(preds, labels_val, cost.n_reports, cost.n_labels), cost
+        )
+        if csl < best_csl - 1e-15:
+            best_csl = csl
+            best_rule = DecisionRule("weighted_argmax", w)
+    return best_rule
+
+
+@pytest.mark.parametrize("seed", range(20))
+@pytest.mark.parametrize("name", ["synthetic", "student"])
+def test_postprocess_matches_candidate_loop(name, seed):
+    cost = {"synthetic": synthetic_cost_matrix(1 / 6), "student": STUDENT}[name]
+    rng = np.random.default_rng(seed)
+    n, k = 100 + 40 * seed, cost.n_reports
+    labels = rng.integers(0, cost.n_labels, n)
+    scores = rng.normal(size=(n, k)) + 1.5 * (labels[:, None] == np.arange(k))
+    rule = postprocess_search(scores, labels, cost, 100, rng_seed=seed)
+    want = ref_postprocess_search(scores, labels, cost, 100, seed)
+    _assert_same_bits(rule.weights, want.weights)
+    argmax_csl = _val_csl(scores, labels, cost, DecisionRule("argmax"))
+    assert _val_csl(scores, labels, cost, rule) <= argmax_csl
+
+
+@pytest.mark.parametrize("name", ["synthetic", "student", "zero_one3"])
+def test_postprocess_equal_scores(name):
+    # Equal scores make each candidate predict its largest weight's index for
+    # every row. Under 0-1 costs with balanced labels every report costs the
+    # same, so every candidate ties and the uniform candidate 0 must win.
+    cost = {"synthetic": synthetic_cost_matrix(1 / 6), "student": STUDENT,
+            "zero_one3": zero_one_matrix(3)}[name]
+    labels = np.arange(90) % cost.n_labels
+    scores = np.zeros((90, cost.n_reports))
+    rule = postprocess_search(scores, labels, cost, 100, rng_seed=4)
+    want = ref_postprocess_search(scores, labels, cost, 100, 4)
+    _assert_same_bits(rule.weights, want.weights)
+    argmax_csl = _val_csl(scores, labels, cost, DecisionRule("argmax"))
+    assert _val_csl(scores, labels, cost, rule) <= argmax_csl
+    if name == "zero_one3":
+        assert np.all(rule.weights == 1.0 / 3)
+
+
+def test_postprocess_rejects_bad_labels():
+    with pytest.raises(ValueError, match="label index out of range"):
+        postprocess_search(np.zeros((3, 2)), np.array([0, 1, 2]), ALPHA6, 10, 0)
+    with pytest.raises(ValueError, match="one label per"):
+        postprocess_search(np.zeros((3, 2)), np.array([1]), ALPHA6, 10, 0)
 
 
 def test_postprocess_never_beats_uniform_candidate(rng):

@@ -455,3 +455,48 @@ def test_divergence_seen_only_on_train_split_keeps_its_epoch():
     epoch = _diverged_epoch(reference_train, *args)
     assert epoch == 4
     assert _diverged_epoch(train, *args) == epoch
+
+
+def test_divergence_seen_only_on_val_split_keeps_its_epoch():
+    # The val-only counterpart: the outlier sits in the validation split, and
+    # its score passes the cap after update 4 while every train score stays
+    # below it.
+    from costbench.data import sample_synthetic
+
+    ds = sample_synthetic(60, rng_seed=3)
+    tr = (ds.features[:40], ds.labels[:40])
+    x_va, y_va = ds.features[40:].copy(), ds.labels[40:]
+    x_va[0] = (50.0, 0.0)
+    loss = CappedLoss(LossSpec("cross_entropy", synthetic_cost_matrix(1 / 6)))
+    loss.cap = 55.0
+    args = (ModelSpec("linear", 2, 2, init_seed=1), loss, tr, (x_va, y_va),
+            TrainConfig(learning_rate=1.0, n_epochs=10))
+    epoch = _diverged_epoch(reference_train, *args)
+    assert epoch == 4
+    assert _diverged_epoch(train, *args) == epoch
+
+
+@pytest.mark.parametrize("selection", ["val_loss", "val_csl"])
+@pytest.mark.parametrize("kind", LOSS_KIND_NAMES)
+def test_one_loss_pass_per_epoch(kind, selection, synthetic_splits):
+    loss = BoundLoss(LossSpec(kind, synthetic_cost_matrix(1 / 6)))
+    calls = []
+    batch = loss.batch
+
+    def counted(scores, ys):
+        calls.append(len(scores))
+        return batch(scores, ys)
+
+    loss.batch = counted
+    tr, va = synthetic_splits
+    metric = None
+    if selection == "val_csl":
+        rule = loss.default_rule()
+
+        def metric(params):
+            return float(np.mean(loss.decide_batch(forward(params, va[0]), rule) != va[1]))
+
+    cfg = TrainConfig(learning_rate=0.5, n_epochs=25)
+    train(ModelSpec("linear", 2, loss.out_dim, init_seed=2), loss, tr, va, cfg,
+          selection_metric=metric)
+    assert calls == [len(tr[0]) + len(va[0])] * (cfg.n_epochs + 1)
