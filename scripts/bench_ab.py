@@ -1,21 +1,20 @@
 #!/usr/bin/env python3
 """Compare two commits on the benchmark's end-to-end metrics in alternating pairs.
 
-    python3 scripts/bench_ab.py BASE_REF --number N [--ref HEAD] [--pairs 10]
-        [--first-seed 100] [--workload W ...]
+    python3 scripts/bench_ab.py BASE_REF --number N --first-seed S
 
-The committed files of BASE_REF and of --ref are exported with `git archive`
+The committed files of BASE_REF and of HEAD are exported with `git archive`
 into a temporary directory, which is removed afterwards. Uncommitted edits
 therefore reach neither side, and nothing is registered in the repository.
-For each workload of BENCHMARK.json (or each --workload) the script runs
---pairs pairs of
+For each workload of BENCHMARK.json the script runs ten pairs of
 
     python3 bench/run.py --workload W --seed S --seconds <run_seconds> --trace 0
 
 one run per side, in that side's directory. Both runs of pair i use seed
-first_seed + i, and the side that runs first alternates from pair to pair.
-One traced run per side (`--seconds 0 --trace 1`, seed first_seed) then
-records the per-layer counts, which repeat exactly and carry no host noise.
+S + i, and the side that runs first alternates from pair to pair; pick seeds
+the change was not tuned on. One traced run per side (`--seconds 0 --trace 1`,
+seed S) then records the per-layer counts, which repeat exactly and carry no
+host noise.
 
 It writes BENCH_<N>.json at the repository root: both SHAs, the environment,
 every run, and for each workload and metric each side's median and quartiles
@@ -41,6 +40,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+PAIRS = 10  # the fewest pairs a nine-in-ten win can be read from
 
 
 def git(*args: str) -> str:
@@ -125,24 +125,20 @@ def environment() -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base_ref")
-    parser.add_argument("--ref", default="HEAD")
     parser.add_argument("--number", type=int, required=True,
                         help="write BENCH_<number>.json at the repository root")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--first-seed", type=int, default=100)
-    parser.add_argument("--workload", action="append")
+    parser.add_argument("--first-seed", type=int, required=True,
+                        help="pair i runs both sides on seed first_seed + i")
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("need at least two pairs for quartiles")
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     counts = [m["name"] for m in bench["per_layer"] if m["unit"] in ("count", "rows")]
-    workloads = args.workload or [w["name"] for w in bench["workloads"]]
+    workloads = [w["name"] for w in bench["workloads"]]
     seconds = bench["run_seconds"]
-    shas = {"base": git("rev-parse", args.base_ref), "change": git("rev-parse", args.ref)}
+    shas = {"base": git("rev-parse", args.base_ref), "change": git("rev-parse", "HEAD")}
     report = {
         "base": {"ref": args.base_ref, "sha": shas["base"]},
-        "change": {"ref": args.ref, "sha": shas["change"]},
+        "change": {"ref": "HEAD", "sha": shas["change"]},
         "command": f"python3 bench/run.py --workload W --seed S --seconds {seconds} --trace 0",
         "environment": environment(),
         "workloads": {},
@@ -153,7 +149,7 @@ def main(argv=None) -> int:
             export(sha, dirs[side])
         for workload in workloads:
             pairs = []
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 seed = args.first_seed + i
                 order = ("base", "change") if i % 2 == 0 else ("change", "base")
                 pair = {"seed": seed, "first": order[0]}

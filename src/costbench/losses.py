@@ -14,7 +14,7 @@ from functools import partial, reduce
 
 import numpy as np
 
-from .costs import CostMatrix
+from .costs import CostMatrix, confusion, cost_sensitive_loss
 from .embedding import (
     EmbeddingSurrogate,
     build_embedding_surrogate,
@@ -365,22 +365,15 @@ def postprocess_search(
     k = scores_val.shape[1]
     if k != cost.n_reports:
         raise ValueError("weighted argmax needs one score per report")
-    n_labels = cost.n_labels
-    if labels_val.shape != (len(scores_val),):
-        raise ValueError("need one label per validation score row")
-    if labels_val.min() < 0 or labels_val.max() >= n_labels:
-        raise ValueError("label index out of range")
     rng = np.random.default_rng(rng_seed)
     cands = np.vstack([np.full((1, k), 1.0 / k), rng.dirichlet(np.ones(k), n_candidates)])
-    # Every candidate's decisions and confusion counts at once: cell
-    # (c, report, label) of the counts is bin (c * k + report) * L + label.
-    preds = np.argmax(softmax(scores_val)[None] * cands[:, None], axis=2)
-    bins = (np.arange(len(cands))[:, None] * k + preds) * n_labels + labels_val
-    counts = np.bincount(bins.ravel(), minlength=len(cands) * k * n_labels)
-    csls = (counts.reshape(len(cands), -1) * cost.entries.ravel()).sum(axis=1)
-    csls /= len(labels_val)
+    probs = softmax(scores_val)
     best_rule, best_csl = None, np.inf
-    for w, csl in zip(cands, csls.tolist()):
+    for w in cands:
+        preds = np.argmax(probs * w, axis=1)
+        csl = cost_sensitive_loss(
+            confusion(preds, labels_val, cost.n_reports, cost.n_labels), cost
+        )
         if csl < best_csl - 1e-15:
             best_csl = csl
             best_rule = DecisionRule("weighted_argmax", w)

@@ -164,7 +164,9 @@ def train(
     `loss.batch` call on the train and val scores stacked row-wise. Per-sample
     losses are independent by row, so both history columns are the split means
     a separate call per split would give. Step e + 1 backpropagates the train
-    rows of that pass.
+    rows of that pass. A split of one row keeps its own `loss.batch` call:
+    numpy runs a one-row matmul as a matrix-vector product, which rounds
+    unlike a row of a matrix product, and the embedding losses use matmuls.
 
     Non-finite scores or losses at the parameters after step e >= 1, on either
     split, raise TrainingDiverged(e); non-finite scores of the initial model
@@ -182,6 +184,7 @@ def train(
     params = init_model(spec)
     lr = cfg.learning_rate
     y_all = np.concatenate([y_tr, y_va])
+    stack = min(n_tr, n_va) > 1
     history = np.empty((cfg.n_epochs + 1, 2))
     best_epoch, best_sel = 0, np.inf
 
@@ -191,7 +194,11 @@ def train(
         s_tr, acts = _forward_cache(params, x_tr)
         s_va, _ = _forward_cache(params, x_va)
         try:
-            vals, g = loss.batch(np.concatenate([s_tr, s_va]), y_all)
+            if stack:
+                vals, g = loss.batch(np.concatenate([s_tr, s_va]), y_all)
+            else:
+                (vals, g), (v_va, _) = loss.batch(s_tr, y_tr), loss.batch(s_va, y_va)
+                vals = np.concatenate([vals, v_va])
         except NonFiniteScores as exc:
             if epoch == 0:
                 raise  # the inputs, not the optimization, are non-finite

@@ -7,6 +7,7 @@ from costbench.costs import (
     confusion,
     cost_sensitive_loss,
     severity_three_class_matrix,
+    stock_matrices,
     synthetic_cost_matrix,
     zero_one_matrix,
 )
@@ -17,6 +18,7 @@ from costbench.embedding import (
     surrogate_values,
 )
 from costbench.losses import (
+    LOSS_KINDS,
     BoundLoss,
     DecisionRule,
     LossSpec,
@@ -314,6 +316,29 @@ def test_bound_loss_batches_match_singles(rng):
         assert np.all(vals >= -1e-10)
 
 
+@pytest.mark.parametrize("name", sorted(stock_matrices()))
+def test_stacked_batch_matches_separate_calls(name):
+    # `train` evaluates both splits in one `batch` call on the stacked scores,
+    # so every row must come out as a call on its own split would give it.
+    # Splits of one row are excluded: numpy runs a one-row matmul as a
+    # matrix-vector product, which rounds differently, so `train` keeps a
+    # separate call for them.
+    cost = stock_matrices()[name]
+    rng = np.random.default_rng(len(name))
+    for kind in LOSS_KINDS:
+        if kind == "weighted_hinge" and cost.entries.shape != (2, 2):
+            continue
+        loss = BoundLoss(LossSpec(kind, cost))
+        for n_tr, n_va in [(2, 2), (37, 13), (300, 100), (600, 200)]:
+            scores = rng.normal(scale=3.0, size=(n_tr + n_va, loss.out_dim))
+            ys = rng.integers(0, cost.n_labels, n_tr + n_va)
+            vals, grads = loss.batch(scores, ys)
+            for part in (slice(0, n_tr), slice(n_tr, None)):
+                want_vals, want_grads = loss.batch(scores[part], ys[part])
+                _assert_same_bits(vals[part], want_vals)
+                _assert_same_bits(grads[part], want_grads)
+
+
 # --- decision rules -------------------------------------------------------------
 
 
@@ -360,35 +385,15 @@ def _val_csl(scores, labels, cost, rule):
     return cost_sensitive_loss(confusion(preds, labels, cost.n_reports, cost.n_labels), cost)
 
 
-def ref_postprocess_search(scores_val, labels_val, cost, n_candidates, rng_seed):
-    """One candidate at a time, as the search ran before it was vectorized."""
-    k = scores_val.shape[1]
-    rng = np.random.default_rng(rng_seed)
-    cands = np.vstack([np.full((1, k), 1.0 / k), rng.dirichlet(np.ones(k), n_candidates)])
-    probs = ref_softmax(scores_val)
-    best_rule, best_csl = None, np.inf
-    for w in cands:
-        preds = np.argmax(probs * w, axis=1)
-        csl = cost_sensitive_loss(
-            confusion(preds, labels_val, cost.n_reports, cost.n_labels), cost
-        )
-        if csl < best_csl - 1e-15:
-            best_csl = csl
-            best_rule = DecisionRule("weighted_argmax", w)
-    return best_rule
-
-
 @pytest.mark.parametrize("seed", range(20))
 @pytest.mark.parametrize("name", ["synthetic", "student"])
-def test_postprocess_matches_candidate_loop(name, seed):
+def test_postprocess_never_costs_more_than_argmax(name, seed):
     cost = {"synthetic": synthetic_cost_matrix(1 / 6), "student": STUDENT}[name]
     rng = np.random.default_rng(seed)
     n, k = 100 + 40 * seed, cost.n_reports
     labels = rng.integers(0, cost.n_labels, n)
     scores = rng.normal(size=(n, k)) + 1.5 * (labels[:, None] == np.arange(k))
     rule = postprocess_search(scores, labels, cost, 100, rng_seed=seed)
-    want = ref_postprocess_search(scores, labels, cost, 100, seed)
-    _assert_same_bits(rule.weights, want.weights)
     argmax_csl = _val_csl(scores, labels, cost, DecisionRule("argmax"))
     assert _val_csl(scores, labels, cost, rule) <= argmax_csl
 
@@ -403,8 +408,6 @@ def test_postprocess_equal_scores(name):
     labels = np.arange(90) % cost.n_labels
     scores = np.zeros((90, cost.n_reports))
     rule = postprocess_search(scores, labels, cost, 100, rng_seed=4)
-    want = ref_postprocess_search(scores, labels, cost, 100, 4)
-    _assert_same_bits(rule.weights, want.weights)
     argmax_csl = _val_csl(scores, labels, cost, DecisionRule("argmax"))
     assert _val_csl(scores, labels, cost, rule) <= argmax_csl
     if name == "zero_one3":
@@ -414,7 +417,7 @@ def test_postprocess_equal_scores(name):
 def test_postprocess_rejects_bad_labels():
     with pytest.raises(ValueError, match="label index out of range"):
         postprocess_search(np.zeros((3, 2)), np.array([0, 1, 2]), ALPHA6, 10, 0)
-    with pytest.raises(ValueError, match="one label per"):
+    with pytest.raises(ValueError, match="equal-length"):
         postprocess_search(np.zeros((3, 2)), np.array([1]), ALPHA6, 10, 0)
 
 

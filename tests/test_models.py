@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from costbench.costs import binary_alpha_matrix, severity_three_class_matrix, synthetic_cost_matrix
+from costbench.costs import (
+    binary_alpha_matrix,
+    severity_three_class_matrix,
+    stock_matrices,
+    synthetic_cost_matrix,
+)
 from costbench.losses import BoundLoss, DecisionRule, LossSpec
 from costbench.models import (
     ModelSpec,
@@ -405,6 +410,25 @@ def test_train_matches_reference_loop(kind, mode, selection, synthetic_splits):
     _assert_same_model(got, want)
     if selection == "val_loss":
         assert got.best_epoch > 0  # selection moved off the initial model
+
+
+@pytest.mark.parametrize("n_tr, n_va", [(300, 100), (600, 200), (30, 1), (1, 30)])
+@pytest.mark.parametrize("name", sorted(stock_matrices()))
+def test_train_matches_reference_loop_on_stock_matrices(name, n_tr, n_va):
+    # The stacked loss pass against separate calls per split on the costs the
+    # UCI datasets train with, at their split sizes and with one-row splits.
+    cost = stock_matrices()[name]
+    rng = np.random.default_rng(n_tr + n_va)
+    y = rng.integers(0, cost.n_labels, n_tr + n_va)
+    x = rng.normal(size=(len(y), 4)) + 2.0 * (y[:, None] == np.arange(4) % cost.n_labels)
+    for kind in LOSS_KIND_NAMES:
+        if kind == "weighted_hinge" and cost.entries.shape != (2, 2):
+            continue
+        loss = BoundLoss(LossSpec(kind, cost))
+        args = (ModelSpec("linear", 4, loss.out_dim, init_seed=3), loss,
+                (x[:n_tr], y[:n_tr]), (x[n_tr:], y[n_tr:]),
+                TrainConfig(learning_rate=0.5, n_epochs=15))
+        _assert_same_model(train(*args), reference_train(*args))
 
 
 class CappedLoss(BoundLoss):
