@@ -414,13 +414,6 @@ def test_postprocess_equal_scores(name):
         assert np.all(rule.weights == 1.0 / 3)
 
 
-def test_postprocess_rejects_bad_labels():
-    with pytest.raises(ValueError, match="label index out of range"):
-        postprocess_search(np.zeros((3, 2)), np.array([0, 1, 2]), ALPHA6, 10, 0)
-    with pytest.raises(ValueError, match="equal-length"):
-        postprocess_search(np.zeros((3, 2)), np.array([1]), ALPHA6, 10, 0)
-
-
 def test_postprocess_never_beats_uniform_candidate(rng):
     cost = zero_one_matrix(2)
     scores = rng.normal(size=(120, 2))
