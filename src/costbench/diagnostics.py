@@ -110,7 +110,6 @@ def regret_profile(
     link_fn,
     cost: CostMatrix,
     p_grid_res: float = 0.05,
-    u_sampler=None,
     n_u: int = 200,
     seed: int = 0,
     loss_id: str = "loss",
@@ -119,11 +118,10 @@ def regret_profile(
     """Sample surrogate/target regret pairs over a simplex grid of p's.
 
     risk provides cond_risk(U, p) and min_cond_risk(p); link_fn maps a batch
-    of predictions to report indices.
+    of predictions to report indices. Predictions come from risk.sampler().
     """
     rng = np.random.default_rng(seed)
-    if u_sampler is None:
-        u_sampler = risk.sampler()
+    u_sampler = risk.sampler()
     grid = simplex_grid(cost.n_labels, p_grid_res)
     rows = cost.entries
     all_p, all_u, s_reg, t_reg = [], [], [], []
@@ -293,14 +291,12 @@ def render_scatter_svg(
     x: np.ndarray,
     y: np.ndarray,
     path,
-    xlabel: str = "target regret",
-    ylabel: str = "surrogate regret",
     title: str = "",
-    size: int = 480,
 ) -> None:
+    """Target regret (x) against surrogate regret (y) on a 480-pixel square."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    pad = 56
+    size, pad = 480, 56
     span = size - 2 * pad
     x_max = float(x.max()) if len(x) and x.max() > 0 else 1.0
     y_max = float(y.max()) if len(y) and y.max() > 0 else 1.0
@@ -312,9 +308,9 @@ def render_scatter_svg(
         'stroke="black"/>',
         f'<line x1="{pad}" y1="{pad}" x2="{pad}" y2="{size - pad}" stroke="black"/>',
         f'<text x="{size // 2}" y="{size - 12}" text-anchor="middle" '
-        f'font-size="13">{xlabel}</text>',
+        'font-size="13">target regret</text>',
         f'<text x="14" y="{size // 2}" text-anchor="middle" font-size="13" '
-        f'transform="rotate(-90 14 {size // 2})">{ylabel}</text>',
+        f'transform="rotate(-90 14 {size // 2})">surrogate regret</text>',
     ]
     if title:
         pieces.append(

@@ -425,76 +425,47 @@ def verify_embedding(s: EmbeddingSurrogate, grid_res: float = 0.01) -> Violation
     return ViolationReport("embedding", tuple(violations), n_checked=n_checked)
 
 
-def _dist_to_segment(U: np.ndarray, v0: np.ndarray, v1: np.ndarray) -> np.ndarray:
-    """Shift-invariant distance from each row of U to the segment [v0, v1].
-
-    Minimizes the convex piecewise-linear map lam -> osc(U - v0 - lam*(v1-v0))/2
-    exactly: the oscillation is a max of affine functions of lam indexed by
-    ordered coordinate pairs, so the minimum sits at a crossing of two pieces
-    or at an endpoint. All candidates are evaluated, vectorized over U.
-    """
-    w = U - v0
-    d = v1 - v0
-    k = U.shape[1]
-    pairs = [(i, j) for i in range(k) for j in range(k) if i != j]
-    cw = np.stack([w[:, i] - w[:, j] for i, j in pairs], axis=1)   # (n, P)
-    cd = np.array([d[i] - d[j] for i, j in pairs])                 # (P,)
-    cands = [np.zeros(len(U)), np.ones(len(U))]
-    for a in range(len(pairs)):
-        for b in range(a + 1, len(pairs)):
-            denom = cd[a] - cd[b]
-            if abs(denom) < 1e-14:
-                continue
-            lam = (cw[:, a] - cw[:, b]) / denom
-            cands.append(np.clip(lam, 0.0, 1.0))
-    lam = np.stack(cands, axis=1)                                  # (n, C)
-    vals = (cw[:, None, :] - lam[:, :, None] * cd[None, None, :]).max(axis=2) / 2.0
-    return vals.min(axis=1)
-
-
-def _dist_to_hull_lp(u: np.ndarray, verts: np.ndarray) -> float:
-    """Shift-invariant distance from u to conv(verts) + span{1} via a small LP."""
-    from scipy.optimize import linprog
-
-    m, k = verts.shape
-    # Variables: lambda (m), c, sdist. Minimize sdist.
-    c_obj = np.zeros(m + 2)
-    c_obj[-1] = 1.0
-    a_ub = []
-    b_ub = []
-    for i in range(k):
-        row = np.concatenate([-verts[:, i], [-1.0, -1.0]])
-        a_ub.append(row)
-        b_ub.append(-u[i])
-        row = np.concatenate([verts[:, i], [1.0, -1.0]])
-        a_ub.append(row)
-        b_ub.append(u[i])
-    a_eq = [np.concatenate([np.ones(m), [0.0, 0.0]])]
-    b_eq = [1.0]
-    bounds = [(0, None)] * m + [(None, None), (0, None)]
-    res = linprog(
-        c_obj, A_ub=np.array(a_ub), b_ub=np.array(b_ub),
-        A_eq=np.array(a_eq), b_eq=np.array(b_eq), bounds=bounds, method="highs",
-    )
-    if not res.success:
-        raise RuntimeError(f"hull-distance LP failed: {res.message}")
-    return float(res.fun)
-
-
 def dist_to_optimal_set(
     s: EmbeddingSurrogate, U: np.ndarray, reports: tuple[int, ...]
 ) -> np.ndarray:
-    """Shift-invariant distance from each row of U to conv{phi(r)} + span{1}."""
+    """Shift-invariant distance from each row of U to conv{phi(r)} + span{1}.
+
+    With w = u - phi(r0), d_r = phi(r) - phi(r0) and the ordered coordinate
+    pairs p = (i, j) as pieces, it is half the optimum of the LP min t s.t.
+    t >= cw_p - lam . cd_p (cw_p = w_i - w_j, cd_p = d_i - d_j), lam >= 0,
+    sum(lam) = 1. A vertex has lam = 0 off a support S and |S| tight pieces Q;
+    each nonsingular (|S|+1)-square system depends on the reports only, so it
+    is inverted once and every row's lam comes from one product. Each lam is
+    clipped to the simplex, so every candidate is feasible and the row-wise
+    minimum is exact. One report gives max_p cw_p, the bits of _quotient_norm.
+    """
     verts = s.phi[list(reports)]
-    if len(reports) == 1:
-        return _quotient_norm(U - verts[0])
-    if len(reports) == 2:
-        out = np.empty(len(U))
-        for start in range(0, len(U), 2048):
-            sl = slice(start, start + 2048)
-            out[sl] = _dist_to_segment(U[sl], verts[0], verts[1])
-        return out
-    return np.array([_dist_to_hull_lp(u, verts) for u in U])
+    i, j = np.nonzero(~np.eye(U.shape[1], dtype=bool))   # the pieces (i, j)
+    w = (U - verts[0]).T
+    d = verts - verts[0]
+    cw, cd = w[i] - w[j], d[:, i] - d[:, j]              # (P, n), (m, P)
+    m, n_pieces = cd.shape
+    best = np.full(len(U), np.inf)
+    step = max(1, (1 << 18) // max(cw.size, 1))  # 2 MB (bases, P, n) blocks
+    for size in range(1, min(m, n_pieces) + 1):
+        # One report has lam = 1 whichever piece is tight.
+        pieces = itertools.combinations(range(n_pieces), size) if size > 1 else [(0,)]
+        bases = itertools.product(itertools.combinations(range(m), size), pieces)
+        supp, tight = map(np.array, zip(*bases))
+        a = np.zeros((len(supp), size + 1, size + 1))
+        a[:, 0, :size] = 1.0
+        a[:, 1:, :size] = cd[supp[:, None, :], tight[:, :, None]]
+        a[:, 1:, size] = 1.0
+        ok = np.linalg.cond(a) < 1e12
+        inv = np.linalg.inv(a[ok])[:, :size]             # lam = inv @ (1, cw_Q)
+        supp, tight = supp[ok], tight[ok]
+        for lo in range(0, len(supp), step):
+            b = slice(lo, lo + step)
+            lam = np.maximum(inv[b, :, :1] + inv[b, :, 1:] @ cw[tight[b]], 0.0)
+            lam /= lam.sum(axis=1, keepdims=True)            # (bases, |S|, n)
+            vals = cw - cd[supp[b]].transpose(0, 2, 1) @ lam  # (bases, P, n)
+            best = np.minimum(best, vals.max(axis=1).min(axis=0))
+    return best / 2.0
 
 
 def verify_alpha_separation(

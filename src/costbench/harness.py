@@ -30,7 +30,6 @@ from .models import (
     TrainConfig,
     TrainingDiverged,
     evaluate,
-    forward,
     train,
 )
 from .seeding import mix_seed
@@ -314,10 +313,10 @@ def run_cell(cfg: ExperimentConfig, label: str, seed_index: int) -> ResultRow:
         rule = loss.default_rule()
         selection_metric = None
         if cfg.selection == "val_csl":
-            def selection_metric(params, _loss=loss, _rule=rule, _va=va, _cost=cost):
-                preds = _loss.decide_batch(forward(params, _va[0]), _rule)
-                cm = confusion(preds, _va[1], _cost.n_reports, _cost.n_labels)
-                return cost_sensitive_loss(cm, _cost)
+            def selection_metric(s_va):
+                cm = confusion(loss.decide_batch(s_va, rule), va[1], cost.n_reports,
+                               cost.n_labels)
+                return cost_sensitive_loss(cm, cost)
 
         model = train(spec, loss, tr, va, tcfg, selection_metric=selection_metric)
         if label == "cross_entropy_post":

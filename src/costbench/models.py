@@ -158,7 +158,8 @@ def train(
     row 0 is the initial model. best_epoch is the first epoch attaining the
     minimal validation loss, and the returned parameters are its snapshot.
     selection_metric, when given, replaces the validation loss as the
-    per-epoch selection criterion: a callable params -> float, lower is better.
+    per-epoch selection criterion: a callable from the epoch's validation
+    scores to a float, lower is better.
 
     Each epoch makes one loss pass: one forward pass per split, then one
     `loss.batch` call on the train and val scores stacked row-wise. Per-sample
@@ -209,7 +210,7 @@ def train(
         if epoch > 0 and not (math.isfinite(tl) and math.isfinite(vl)):
             raise TrainingDiverged(epoch)
         history[epoch] = (tl, vl)
-        sel = vl if selection_metric is None else float(selection_metric(params))
+        sel = vl if selection_metric is None else float(selection_metric(s_va))
         if epoch == 0 or sel < best_sel:
             best_epoch, best_sel, best_params = epoch, sel, _copy_params(params)
         if epoch < cfg.n_epochs:
@@ -258,11 +259,10 @@ def gradient_check(
     y: np.ndarray,
     h: float = 1e-5,
     max_coords: int = 400,
-    kink_margin: float = 1e-3,
 ) -> float:
     """Max relative error of analytic parameter gradients vs central differences.
 
-    Samples whose scores sit within kink_margin of a polyhedral kink are
+    Samples whose scores sit within 1e-3 of a polyhedral kink are
     dropped first so the finite differences straddle a smooth region. For
     large models a deterministic subset of coordinates is probed.
     """
@@ -270,12 +270,12 @@ def gradient_check(
     y = np.asarray(y, dtype=int)
     params = init_model(spec)
     scores, acts = _forward_cache(params, x)
-    keep = loss.kink_margin(scores) > kink_margin
+    keep = loss.kink_margin(scores) > 1e-3
     # ReLU pre-activations near zero also break finite differences.
     act = x
     for w, b in params[:-1]:
         z = act @ w + b
-        keep &= np.abs(z).min(axis=1) > kink_margin
+        keep &= np.abs(z).min(axis=1) > 1e-3
         act = np.maximum(z, 0.0)
     if not keep.any():
         raise ValueError("every sample sits at a kink; enlarge the batch")

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +10,7 @@ from costbench.costs import (
     bayes_optimal_reports,
     bayes_risk,
     binary_alpha_matrix,
+    german_credit_deferral_matrix,
     severity_three_class_matrix,
     simplex_grid,
     stock_matrices,
@@ -15,7 +18,6 @@ from costbench.costs import (
 )
 from costbench.embedding import (
     EmbeddingSurrogate,
-    _dist_to_hull_lp,
     _quotient_norm,
     build_embedding_surrogate,
     dist_to_optimal_set,
@@ -450,22 +452,92 @@ def test_alpha_separation_vacuous_when_linked_correctly():
 # --- hull distances ---------------------------------------------------------
 
 
+def _dist_to_hull_lp(u: np.ndarray, verts: np.ndarray) -> float:
+    """Reference: shift-invariant distance from u to conv(verts) + span{1} by LP."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    m, k = verts.shape
+    # Variables: lambda (m), c, sdist. Minimize sdist.
+    c_obj = np.zeros(m + 2)
+    c_obj[-1] = 1.0
+    a_ub = []
+    b_ub = []
+    for i in range(k):
+        a_ub.append(np.concatenate([-verts[:, i], [-1.0, -1.0]]))
+        b_ub.append(-u[i])
+        a_ub.append(np.concatenate([verts[:, i], [1.0, -1.0]]))
+        b_ub.append(u[i])
+    a_eq = [np.concatenate([np.ones(m), [0.0, 0.0]])]
+    bounds = [(0, None)] * m + [(None, None), (0, None)]
+    res = linprog(
+        c_obj, A_ub=np.array(a_ub), b_ub=np.array(b_ub),
+        A_eq=np.array(a_eq), b_eq=[1.0], bounds=bounds, method="highs",
+    )
+    assert res.success, res.message
+    return float(res.fun)
+
+
+def _lp_dists(s, U, reports):
+    return np.array([_dist_to_hull_lp(u, s.phi[list(reports)]) for u in U])
+
+
 def test_dist_to_optimal_set_matches_lp(rng):
     s = build_embedding_surrogate(STUDENT)
     U = rng.normal(size=(40, 3)) * 3
     for reports in [(0,), (0, 1), (1, 2), (0, 1, 2)]:
         fast = dist_to_optimal_set(s, U, reports)
-        ref = np.array([_dist_to_hull_lp(u, s.phi[list(reports)]) for u in U])
-        assert np.allclose(fast, ref, atol=1e-9)
+        assert np.allclose(fast, _lp_dists(s, U, reports), atol=1e-9)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_dist_to_optimal_set_matches_lp_on_random_hulls(k, rng):
+    # Hulls of 1 to 4 random embedded points, probed at random predictions
+    # and at shifted points inside each hull, where the distance is 0.
+    for _ in range(5):
+        s = build_embedding_surrogate(CostMatrix(rng.uniform(0.0, 5.0, size=(4, k))))
+        for m in range(1, 5):
+            reports = tuple(sorted(rng.choice(4, size=m, replace=False)))
+            verts = s.phi[list(reports)]
+            inside = rng.dirichlet(np.ones(m), size=10) @ verts + rng.normal(size=(10, 1))
+            U = np.vstack([rng.normal(size=(30, k)) * 3, inside])
+            got = dist_to_optimal_set(s, U, reports)
+            assert np.allclose(got, _lp_dists(s, U, reports), rtol=0.0, atol=1e-9)
+            assert np.all(np.abs(got[30:]) <= 1e-9)
+
+
+def test_dist_to_optimal_set_matches_lp_on_collinear_reports(rng):
+    # The deferral matrix embeds three points on one line modulo span{1}, so
+    # every basis over all three reports is singular.
+    s = build_embedding_surrogate(german_credit_deferral_matrix())
+    U = np.vstack([rng.normal(size=(60, 2)) * 4, s.phi, s.phi.mean(axis=0)])
+    got = dist_to_optimal_set(s, U, (0, 1, 2))
+    assert np.allclose(got, _lp_dists(s, U, (0, 1, 2)), rtol=0.0, atol=1e-9)
+    assert np.all(got[60:] <= 1e-12)
+
+
+def test_one_report_distance_is_bit_equal_to_quotient_norm(surrogates, rng):
+    for s in surrogates.values():
+        U = rng.normal(size=(200, s.n_labels)) * 3
+        for r in s.representative_set:
+            assert np.array_equal(dist_to_optimal_set(s, U, (r,)),
+                                  _quotient_norm(U - s.phi[r]))
 
 
 def test_triple_hull_path_on_four_reports(rng):
-    # Four 0-1 reports, a grid point where three of them tie: exercises the
-    # LP hull-distance path with |optimal set| = 3.
+    # Four 0-1 reports, a grid point where three of them tie: the distance to
+    # an optimal set of three reports, on the same path as every other size.
     s = build_embedding_surrogate(zero_one_matrix(4))
     rep = verify_alpha_separation(s, 1 / 3, 500, rng_seed=2)
-    assert isinstance(rep.ok, bool)  # clean run through the LP branch
+    assert isinstance(rep.ok, bool)
     assert rep.ok
+
+
+def test_alpha_separation_runs_without_scipy(monkeypatch, rng):
+    monkeypatch.setitem(sys.modules, "scipy", None)
+    monkeypatch.setitem(sys.modules, "scipy.optimize", None)
+    s = build_embedding_surrogate(zero_one_matrix(4))
+    assert verify_alpha_separation(s, 1 / 3, 500, rng_seed=2).ok
+    d = dist_to_optimal_set(s, rng.normal(size=(50, 4)), (0, 1, 2, 3))
+    assert np.all(np.isfinite(d)) and np.all(d >= 0.0)
 
 
 def test_quotient_dist_matches_definition(rng):

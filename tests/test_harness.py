@@ -426,6 +426,47 @@ def test_rows_csv_bytes_pinned(tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GUARD_ROWS_SHA256
 
 
+# The same for GUARD_CFG under val_csl selection, taken from the loop whose
+# selection metric ran its own forward pass over the validation split.
+VAL_CSL_ROWS_SHA256 = "63ce89c0cb8695884bf469a7ce7c27e7bc1c2902e9651a1911acaea99849e4f6"
+
+
+def test_val_csl_rows_csv_bytes_pinned(tmp_path):
+    import hashlib
+    from dataclasses import replace
+
+    path = tmp_path / "rows.csv"
+    write_rows_csv(run_experiment(replace(GUARD_CFG, selection="val_csl")), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == VAL_CSL_ROWS_SHA256
+
+
+def test_val_csl_selection_reuses_epoch_scores(monkeypatch):
+    # One forward pass per split and epoch: the selection metric scores the
+    # validation split from the epoch's loss pass, not from a pass of its own.
+    from dataclasses import replace
+
+    from costbench import harness, models
+
+    n_passes, per_train = [0], []
+    forward_cache, train = models._forward_cache, harness.train
+
+    def counted_forward(*args):
+        n_passes[0] += 1
+        return forward_cache(*args)
+
+    def counted_train(*args, **kwargs):
+        before = n_passes[0]
+        model = train(*args, **kwargs)
+        per_train.append(n_passes[0] - before)
+        return model
+
+    monkeypatch.setattr(models, "_forward_cache", counted_forward)
+    monkeypatch.setattr(harness, "train", counted_train)
+    cfg = replace(SMALL_CFG, selection="val_csl", n_epochs=12)
+    assert not any(r.failed for r in run_experiment(cfg))
+    assert per_train == [2 * (cfg.n_epochs + 1)] * (cfg.n_seeds * len(cfg.losses))
+
+
 def test_missing_uci_dataset_aborts(tmp_path, monkeypatch):
     monkeypatch.setenv("COSTBENCH_DATA_DIR", str(tmp_path))
     cfg = ExperimentConfig(dataset="diabetes", n_samples=50, n_seeds=1,
