@@ -395,34 +395,25 @@ def verify_embedding(s: EmbeddingSurrogate, grid_res: float = 0.01) -> Violation
     lbar = report_costs.min(axis=1)
     surr_risk = g_phi[None, :] - grid @ s.phi.T       # (n_p, m)
     optimal = report_costs <= (lbar + TIE_EPS)[:, None]
-    for i, p in enumerate(grid):
-        for r in range(s.n_reports):
-            n_checked += 1
-            excess = surr_risk[i, r] - lbar[i]
-            if optimal[i, r]:
-                if abs(excess) > 1e-9:
-                    violations.append(
-                        Violation(
-                            kind="optimal-report-risk-mismatch",
-                            p=tuple(p),
-                            report=r,
-                            u=tuple(s.phi[r]),
-                            quantity=float(excess),
-                            threshold=1e-9,
-                        )
-                    )
-            elif excess <= TIE_EPS:
-                violations.append(
-                    Violation(
-                        kind="non-optimal-report-not-separated",
-                        p=tuple(p),
-                        report=r,
-                        u=tuple(s.phi[r]),
-                        quantity=float(excess),
-                        threshold=TIE_EPS,
-                    )
-                )
+    excess = surr_risk - lbar[:, None]
+    n_checked += excess.size
+    for i, r in np.argwhere(np.where(optimal, np.abs(excess) > 1e-9, excess <= TIE_EPS)):
+        opt = bool(optimal[i, r])
+        violations.append(
+            Violation(
+                kind="optimal-report-risk-mismatch" if opt
+                else "non-optimal-report-not-separated",
+                p=tuple(grid[i]),
+                report=int(r),
+                u=tuple(s.phi[r]),
+                quantity=float(excess[i, r]),
+                threshold=1e-9 if opt else TIE_EPS,
+            )
+        )
     return ViolationReport("embedding", tuple(violations), n_checked=n_checked)
+
+
+_BLOCK = 1 << 18  # floats per array in one block of bases: 2 MB
 
 
 def dist_to_optimal_set(
@@ -430,42 +421,49 @@ def dist_to_optimal_set(
 ) -> np.ndarray:
     """Shift-invariant distance from each row of U to conv{phi(r)} + span{1}.
 
-    With w = u - phi(r0), d_r = phi(r) - phi(r0) and the ordered coordinate
-    pairs p = (i, j) as pieces, it is half the optimum of the LP min t s.t.
-    t >= cw_p - lam . cd_p (cw_p = w_i - w_j, cd_p = d_i - d_j), lam >= 0,
-    sum(lam) = 1. A vertex has lam = 0 off a support S and |S| tight pieces Q;
-    each nonsingular (|S|+1)-square system depends on the reports only, so it
-    is inverted once and every row's lam comes from one product. Each lam is
-    clipped to the simplex, so every candidate is feasible and the row-wise
-    minimum is exact. One report gives max_p cw_p, the bits of _quotient_norm.
+    With w = u - phi(r0) and d_r = phi(r) - phi(r0), it is half the optimum of
+    the LP min hi - lo s.t. lo <= w_i - lam . d_i <= hi for every label i,
+    lam >= 0, sum(lam) = 1, where bound q is hi on label q if q < k, else lo
+    on q - k. A vertex has lam = 0 off a support S and |S| + 1 tight bounds
+    Q, at least one of each side. Each nonsingular (|S|+2)-square system
+    depends on the reports only, so it is inverted once and every row's lam
+    comes from one product. Each lam is clipped to the simplex, so every
+    candidate is feasible and the row-wise minimum is exact. One report gives
+    lam = 1, the bits of _quotient_norm.
     """
-    verts = s.phi[list(reports)]
-    i, j = np.nonzero(~np.eye(U.shape[1], dtype=bool))   # the pieces (i, j)
-    w = (U - verts[0]).T
-    d = verts - verts[0]
-    cw, cd = w[i] - w[j], d[:, i] - d[:, j]              # (P, n), (m, P)
-    m, n_pieces = cd.shape
-    best = np.full(len(U), np.inf)
-    step = max(1, (1 << 18) // max(cw.size, 1))  # 2 MB (bases, P, n) blocks
-    for size in range(1, min(m, n_pieces) + 1):
-        # One report has lam = 1 whichever piece is tight.
-        pieces = itertools.combinations(range(n_pieces), size) if size > 1 else [(0,)]
-        bases = itertools.product(itertools.combinations(range(m), size), pieces)
-        supp, tight = map(np.array, zip(*bases))
-        a = np.zeros((len(supp), size + 1, size + 1))
-        a[:, 0, :size] = 1.0
-        a[:, 1:, :size] = cd[supp[:, None, :], tight[:, :, None]]
-        a[:, 1:, size] = 1.0
-        ok = np.linalg.cond(a) < 1e12
-        inv = np.linalg.inv(a[ok])[:, :size]             # lam = inv @ (1, cw_Q)
-        supp, tight = supp[ok], tight[ok]
-        for lo in range(0, len(supp), step):
-            b = slice(lo, lo + step)
-            lam = np.maximum(inv[b, :, :1] + inv[b, :, 1:] @ cw[tight[b]], 0.0)
-            lam /= lam.sum(axis=1, keepdims=True)            # (bases, |S|, n)
-            vals = cw - cd[supp[b]].transpose(0, 2, 1) @ lam  # (bases, P, n)
-            best = np.minimum(best, vals.max(axis=1).min(axis=0))
-    return best / 2.0
+    d = s.phi[list(reports)] - s.phi[reports[0]]      # (m, k)
+    w = (U - s.phi[reports[0]]).T                     # (k, n)
+    (m, k), n = d.shape, len(U)
+    d2, w2 = np.hstack([d, d]), np.vstack([w, w])     # rows by bound q
+    best = np.full(n, np.inf)
+    # More than k points are affinely dependent modulo span{1}, and a null
+    # vector of the system follows, so supports stop at k.
+    for size in range(1, min(m, k) + 1):
+        q = np.array(list(itertools.combinations(range(2 * k), size + 1)))
+        labels = np.sort(q % k, axis=1)
+        # Above 0 no label is tight on both sides. At 0 every bound is tight,
+        # and both bounds of label 0 with size - 1 more hi bounds hold a basis.
+        inside = (q[:, 0] == 0) & (q[:, -1] == k)
+        keep = (q[:, 0] < k) & (q[:, -1] >= k) & (
+            (labels[:, 1:] != labels[:, :-1]).all(axis=1) | inside)
+        tights = q[keep][: 1 if size == 1 else None]      # one report: lam = 1
+        bases = itertools.product(itertools.combinations(range(m), size), tights)
+        step = max(1, _BLOCK // max(k * n, (size + 2) ** 2))  # bases per block
+        while chunk := list(itertools.islice(bases, step)):
+            supp, tight = map(np.array, zip(*chunk))
+            a = np.zeros((len(chunk), size + 2, size + 2))
+            a[:, 0, :size] = 1.0
+            a[:, 1:, :size] = d2[supp[:, None, :], tight[:, :, None]]
+            a[:, 1:, size] = tight < k
+            a[:, 1:, size + 1] = tight >= k
+            ok = np.linalg.cond(a, 1) < 1e12
+            inv = np.linalg.inv(a[ok])[:, :size]          # lam = inv @ (1, w_Q)
+            lam = np.maximum(inv[:, :, :1] + inv[:, :, 1:] @ w2[tight[ok]], 0.0)
+            lam /= lam.sum(axis=1, keepdims=True)                 # (bases, |S|, n)
+            v = w - d[supp[ok]].transpose(0, 2, 1) @ lam          # (bases, k, n)
+            dist = _quotient_norm(v.transpose(0, 2, 1))           # (bases, n)
+            best = np.minimum(best, dist.min(axis=0, initial=np.inf))
+    return best
 
 
 def verify_alpha_separation(
@@ -501,11 +499,7 @@ def verify_alpha_separation(
     gaps = report_costs - lbar[:, None]
     optimal = gaps <= TIE_EPS
     # Distance in p-space to a tie boundary is roughly gap / row-scale.
-    row_scale = max(
-        np.abs(rows[i] - rows[j]).max()
-        for i in range(len(rows))
-        for j in range(i + 1, len(rows))
-    )
+    row_scale = np.ptp(rows, axis=0).max()
     runner_up = np.where(optimal, np.inf, gaps).min(axis=1)
     near_tie = runner_up <= 2.0 * p_grid_res * row_scale
 

@@ -262,20 +262,21 @@ def gradient_check(
 ) -> float:
     """Max relative error of analytic parameter gradients vs central differences.
 
-    Samples whose scores sit within 1e-3 of a polyhedral kink are
+    Samples whose scores sit within `margin` of a polyhedral kink are
     dropped first so the finite differences straddle a smooth region. For
     large models a deterministic subset of coordinates is probed.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=int)
+    margin = 1e-3
     params = init_model(spec)
     scores, acts = _forward_cache(params, x)
-    keep = loss.kink_margin(scores) > 1e-3
+    keep = loss.kink_margin(scores) > margin
     # ReLU pre-activations near zero also break finite differences.
     act = x
     for w, b in params[:-1]:
         z = act @ w + b
-        keep &= np.abs(z).min(axis=1) > 1e-3
+        keep &= np.abs(z).min(axis=1) > margin
         act = np.maximum(z, 0.0)
     if not keep.any():
         raise ValueError("every sample sits at a kink; enlarge the batch")

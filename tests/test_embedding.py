@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from costbench import embedding
 from costbench.costs import (
     CostMatrix,
     SimplexDist,
@@ -506,12 +507,40 @@ def test_dist_to_optimal_set_matches_lp_on_random_hulls(k, rng):
 
 def test_dist_to_optimal_set_matches_lp_on_collinear_reports(rng):
     # The deferral matrix embeds three points on one line modulo span{1}, so
-    # every basis over all three reports is singular.
+    # no vertex has all three in its support.
     s = build_embedding_surrogate(german_credit_deferral_matrix())
     U = np.vstack([rng.normal(size=(60, 2)) * 4, s.phi, s.phi.mean(axis=0)])
     got = dist_to_optimal_set(s, U, (0, 1, 2))
     assert np.allclose(got, _lp_dists(s, U, (0, 1, 2)), rtol=0.0, atol=1e-9)
     assert np.all(got[60:] <= 1e-12)
+
+
+@pytest.mark.parametrize("k", [5, 6])
+def test_dist_to_optimal_set_matches_lp_on_wide_hulls(k, rng):
+    # k - 1 to k + 1 reports, so supports reach k. Probes: random points,
+    # points on a face and inside each hull (distance 0) and points just off
+    # those.
+    s = build_embedding_surrogate(CostMatrix(rng.uniform(0.0, 5.0, size=(k + 1, k))))
+    for m in (k - 1, k, k + 1):
+        reports = tuple(range(m))
+        lam = rng.dirichlet(np.ones(m), size=8)
+        lam[:4, 0] = 0.0
+        lam /= lam.sum(axis=1, keepdims=True)
+        hull = lam @ s.phi[list(reports)] + rng.normal(size=(8, 1))
+        U = np.vstack([hull, rng.normal(size=(12, k)) * 3,
+                       hull + rng.normal(size=(8, k)) * 1e-3])
+        got = dist_to_optimal_set(s, U, reports)
+        assert np.allclose(got, _lp_dists(s, U, reports), rtol=0.0, atol=1e-9)
+        assert np.all(got[:8] <= 1e-9)
+
+
+def test_dist_to_optimal_set_bits_do_not_depend_on_blocks(monkeypatch, rng):
+    # One basis per evaluation block gives the default's bits.
+    s = build_embedding_surrogate(zero_one_matrix(4))
+    U = rng.normal(size=(30, 4)) * 3
+    want = dist_to_optimal_set(s, U, (0, 1, 2))
+    monkeypatch.setattr(embedding, "_BLOCK", 1)
+    assert np.array_equal(dist_to_optimal_set(s, U, (0, 1, 2)), want)
 
 
 def test_one_report_distance_is_bit_equal_to_quotient_norm(surrogates, rng):
