@@ -38,11 +38,9 @@ from .embedding import (
 )
 from .losses import (
     BoundLoss,
-    DecisionRule,
     LossSpec,
     class_weights,
     cross_entropy,
-    decide,
     embedding_softmax_loss,
     postprocess_search,
     scaled_cross_entropy,

@@ -28,39 +28,36 @@ from .harness import (
 )
 
 
+def _report(rows, table_format: str, rows_path, table_path) -> int:
+    """Write the rows and the table, name every failed cell; 1 if any failed."""
+    write_rows_csv(rows, rows_path)
+    print(emit_table(aggregate(rows), table_format, table_path))
+    failed = [r for r in rows if r.failed]
+    for r in failed:
+        print(f"cell failed: {r.dataset}/{r.loss}/seed {r.seed}: {r.failed}",
+              file=sys.stderr)
+    if failed:
+        return 1
+    print(f"wrote {rows_path} and {table_path}")
+    return 0
+
+
 def _cmd_run(args) -> int:
     cfg = parse_config(args.config)
     if args.workers is not None:
         cfg = replace(cfg, workers=args.workers)
-    rows = run_experiment(cfg)
-    write_rows_csv(rows, cfg.rows_csv)
-    table = emit_table(aggregate(rows), cfg.table_format, cfg.table_path)
-    print(table)
-    failed = [r for r in rows if r.failed]
-    if failed:
-        for r in failed:
-            print(f"cell failed: {r.dataset}/{r.loss}/seed {r.seed}: {r.failed}",
-                  file=sys.stderr)
-        return 1
-    print(f"wrote {cfg.rows_csv} and {cfg.table_path}")
-    return 0
+    return _report(run_experiment(cfg), cfg.table_format, cfg.rows_csv, cfg.table_path)
 
 
 def _cmd_ablate(args) -> int:
     cfg = apply_preset(parse_config(args.config), args.preset)
-    rows = run_experiment(cfg)
-    stem = Path(cfg.rows_csv)
-    rows_path = stem.with_name(f"{stem.stem}_{args.preset}{stem.suffix}")
-    table_stem = Path(cfg.table_path)
-    table_path = table_stem.with_name(
-        f"{table_stem.stem}_{args.preset}{table_stem.suffix}"
-    )
-    write_rows_csv(rows, rows_path)
-    print(emit_table(aggregate(rows), cfg.table_format, table_path))
-    if any(r.failed for r in rows):
-        return 1
-    print(f"wrote {rows_path} and {table_path}")
-    return 0
+
+    def suffixed(name):
+        path = Path(name)
+        return path.with_name(f"{path.stem}_{args.preset}{path.suffix}")
+
+    return _report(run_experiment(cfg), cfg.table_format,
+                   suffixed(cfg.rows_csv), suffixed(cfg.table_path))
 
 
 def _cmd_verify(args) -> int:

@@ -188,9 +188,11 @@ def build_embedding_surrogate(
 
     Duplicate cost rows are collapsed into a single representative report
     (recorded as a warning). alpha_sep defaults to a quarter of the minimum
-    pairwise shift-invariant gap between embedded points, the largest radius
-    at which the nearest-point link below stays separation-safe on the stock
-    matrices.
+    pairwise shift-invariant gap between embedded points. That is not the
+    link's separation radius. A local search finds mislinked points at
+    1/(2(k - 1)) on zero_one(k), so the default is too large for k >= 4, and
+    none nearer than quot_gap / 2, twice the default, on the 2-label stock
+    matrices with unequal costs and on severity_three_class.
     """
     rows = cost.entries
     reps: list[int] = []

@@ -100,6 +100,13 @@ class ExperimentConfig:
             raise ConfigError(f"unknown model kind {self.model_kind!r}")
         if self.selection not in ("val_loss", "val_csl"):
             raise ConfigError("selection must be val_loss or val_csl")
+        try:
+            TrainConfig(self.effective_learning_rate, self.n_epochs)
+        except ValueError as exc:
+            raise ConfigError(f"[train] {exc}") from exc
+        if self.postprocess_candidates < 1:
+            raise ConfigError("[postprocess] n_candidates must be >= 1, "
+                              f"got {self.postprocess_candidates!r}")
         if "cross_entropy_post" in self.losses and self.dataset == "german_credit_deferral":
             raise ConfigError(
                 "cross_entropy_post is undefined when reports != labels "
@@ -310,24 +317,23 @@ def run_cell(cfg: ExperimentConfig, label: str, seed_index: int) -> ResultRow:
             init_seed=cell_seed,
         )
         tcfg = TrainConfig(learning_rate=cfg.effective_learning_rate, n_epochs=cfg.n_epochs)
-        rule = loss.default_rule()
         selection_metric = None
         if cfg.selection == "val_csl":
             def selection_metric(s_va):
-                cm = confusion(loss.decide_batch(s_va, rule), va[1], cost.n_reports,
-                               cost.n_labels)
+                cm = confusion(loss.decide_batch(s_va), va[1], cost.n_reports, cost.n_labels)
                 return cost_sensitive_loss(cm, cost)
 
         model = train(spec, loss, tr, va, tcfg, selection_metric=selection_metric)
+        weights = None
         if label == "cross_entropy_post":
-            rule = postprocess_search(
+            weights = postprocess_search(
                 model.scores(va[0]),
                 va[1],
                 cost,
                 n_candidates=cfg.postprocess_candidates,
                 rng_seed=mix_seed(cell_seed, "post"),
             )
-        result = evaluate(model, rule, te, cost)
+        result = evaluate(model, te, cost, weights)
         slope = None
         if cfg.model_kind == "linear" and ds.n_features == 2 and spec.out_dim <= 2:
             rep = boundary_slope(model, label)

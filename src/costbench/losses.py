@@ -1,4 +1,4 @@
-"""Trainable losses (value + gradient in the model scores) and decision rules.
+"""Trainable losses: value + gradient in the model scores, and each one's decision.
 
 Five loss kinds sit behind one interface: plain and cost-weighted
 cross-entropy, the polyhedral embedding surrogate on raw score vectors, its
@@ -198,6 +198,10 @@ def _softmax_link(s: EmbeddingSurrogate, logits: np.ndarray) -> np.ndarray:
     return softmax(logits) @ s.rep_phi
 
 
+def _sign_decision(scores: np.ndarray) -> np.ndarray:
+    return (scores[:, 0] > 0).astype(int)
+
+
 def _smooth_kink_margin(scores: np.ndarray) -> np.ndarray:
     return np.full(len(scores), np.inf)
 
@@ -242,12 +246,12 @@ class LossSpec:
 
 
 class BoundLoss:
-    """A LossSpec materialized for training: batched values/grads and linking.
+    """A LossSpec materialized for training: batched values/grads and decisions.
 
     The constructor is the one place that dispatches on the loss kind. It
     resolves, once per loss, the batch function, the model output width, the
-    default decision rule, the map from scores to the rule's input space and
-    the kink margin used by gradient checks.
+    decision (argmax, sign or the embedding link), the map from scores to the
+    decision's input space and the kink margin used by gradient checks.
     """
 
     def __init__(self, spec: LossSpec):
@@ -255,9 +259,9 @@ class BoundLoss:
         cost = spec.cost
         self.surrogate: EmbeddingSurrogate | None = None
         self.out_dim = cost.n_labels
-        self._link = None  # scores -> rule input; None is the identity
+        self._link = None  # scores -> decision input; None is the identity
         self._kink_margin = _smooth_kink_margin
-        self._rule = DecisionRule("argmax")
+        self._decide = partial(np.argmax, axis=1)
         if self.kind == "cross_entropy":
             self._batch = cross_entropy_batch
         elif self.kind == "scaled_cross_entropy":
@@ -268,10 +272,10 @@ class BoundLoss:
             self._batch = partial(weighted_hinge_batch, c_fp / (c_fp + c_fn), c_fp + c_fn)
             self.out_dim = 1
             self._kink_margin = _hinge_kink_margin
-            self._rule = DecisionRule("sign")
+            self._decide = _sign_decision
         else:  # embedding, embedding_softmax
             s = self.surrogate = build_embedding_surrogate(cost)
-            self._rule = DecisionRule("embedding_link")
+            self._decide = partial(link_many, s)
             self._kink_margin = partial(_vertex_gap, s)
             if self.kind == "embedding":
                 self._batch = partial(embedding_raw_batch, s)
@@ -286,61 +290,23 @@ class BoundLoss:
         return self._batch(scores, ys)
 
     def link_input(self, scores: np.ndarray) -> np.ndarray:
-        """Map raw model scores to the space the decision rule consumes."""
+        """Map raw model scores to the space the decision consumes."""
         return scores if self._link is None else self._link(scores)
 
     def kink_margin(self, scores: np.ndarray) -> np.ndarray:
         """Per-sample distance proxy to the nearest non-smooth point of the loss."""
         return self._kink_margin(self.link_input(np.asarray(scores, dtype=float)))
 
-    def default_rule(self) -> "DecisionRule":
-        return self._rule
+    def decide_batch(self, scores: np.ndarray, weights: np.ndarray | None = None):
+        """Reports for a batch of scores; ties resolve to the lowest report index.
 
-    def decide_batch(self, scores: np.ndarray, rule: "DecisionRule") -> np.ndarray:
-        return decide_batch(rule, self.link_input(scores), self.surrogate)
-
-
-@dataclass(frozen=True, eq=False)
-class DecisionRule:
-    """How surrogate predictions are discretized into reports."""
-
-    kind: str  # argmax | weighted_argmax | embedding_link | sign
-    weights: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("argmax", "weighted_argmax", "embedding_link", "sign"):
-            raise ValueError(f"unknown decision rule {self.kind!r}")
-        if self.kind == "weighted_argmax":
-            w = np.asarray(self.weights, dtype=float)
-            if w.ndim != 1 or np.any(w <= 0):
-                raise ValueError("weighted_argmax needs strictly positive weights")
-            object.__setattr__(self, "weights", w)
-        elif self.weights is not None:
-            raise ValueError(f"{self.kind} takes no weights")
-
-
-def decide_batch(
-    rule: DecisionRule, vecs: np.ndarray, s: EmbeddingSurrogate | None = None
-) -> np.ndarray:
-    """Vectorized decisions; ties always resolve to the lowest report index."""
-    vecs = np.asarray(vecs, dtype=float)
-    if rule.kind == "argmax":
-        return np.argmax(vecs, axis=1)
-    if rule.kind == "weighted_argmax":
-        if vecs.shape[1] != len(rule.weights):
-            raise ValueError("weight length must match score width")
-        return np.argmax(softmax(vecs) * rule.weights, axis=1)
-    if rule.kind == "sign":
-        return (vecs[:, 0] > 0).astype(int)
-    if s is None:
-        raise ValueError("embedding_link rule needs the surrogate")
-    return link_many(s, vecs)
-
-
-def decide(rule: DecisionRule, vec, s: EmbeddingSurrogate | None = None) -> int:
-    """Discretize one prediction vector into a report index."""
-    vec = np.asarray(vec, dtype=float)
-    return int(decide_batch(rule, vec[None, :], s)[0])
+        weights, from postprocess_search, replace the loss's own decision with
+        the weighted argmax of softmax(scores): cross_entropy_post's decision.
+        """
+        scores = np.asarray(scores, dtype=float)
+        if weights is not None:
+            return np.argmax(softmax(scores) * weights, axis=1)
+        return self._decide(self.link_input(scores))
 
 
 def postprocess_search(
@@ -349,12 +315,12 @@ def postprocess_search(
     cost: CostMatrix,
     n_candidates: int = 100,
     rng_seed: int = 0,
-) -> DecisionRule:
+) -> np.ndarray:
     """Pick the weighted-argmax weights minimizing validation cost.
 
     Candidate 0 is the uniform vector (plain argmax); the rest are drawn
     uniformly from the simplex interior. Deterministic given the seed, and the
-    returned rule's validation cost never exceeds plain argmax's.
+    returned weights' validation cost never exceeds plain argmax's.
     """
     scores_val = np.asarray(scores_val, dtype=float)
     labels_val = np.asarray(labels_val, dtype=int)
@@ -368,13 +334,12 @@ def postprocess_search(
     rng = np.random.default_rng(rng_seed)
     cands = np.vstack([np.full((1, k), 1.0 / k), rng.dirichlet(np.ones(k), n_candidates)])
     probs = softmax(scores_val)
-    best_rule, best_csl = None, np.inf
+    best_w, best_csl = None, np.inf
     for w in cands:
         preds = np.argmax(probs * w, axis=1)
         csl = cost_sensitive_loss(
             confusion(preds, labels_val, cost.n_reports, cost.n_labels), cost
         )
         if csl < best_csl - 1e-15:
-            best_csl = csl
-            best_rule = DecisionRule("weighted_argmax", w)
-    return best_rule
+            best_w, best_csl = w, csl
+    return best_w

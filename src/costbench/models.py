@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costs import CostMatrix, accuracy as cm_accuracy, confusion, cost_sensitive_loss
-from .losses import BoundLoss, DecisionRule, NonFiniteScores
+from .losses import BoundLoss, NonFiniteScores
 
 # Weight init: uniform(-INIT_SCALE/sqrt(fan_in), +INIT_SCALE/sqrt(fan_in)).
 INIT_SCALE = 1.0
@@ -55,10 +55,11 @@ class TrainConfig:
     n_epochs: int = 2000
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError("learning rate must be nonnegative")
+        if not 0 <= self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and nonnegative, "
+                             f"got {self.learning_rate!r}")
         if self.n_epochs < 1:
-            raise ValueError("need at least one epoch")
+            raise ValueError(f"n_epochs must be >= 1, got {self.n_epochs!r}")
 
 
 Params = list[tuple[np.ndarray, np.ndarray]]
@@ -233,16 +234,19 @@ class EvalResult:
 
 def evaluate(
     model: TrainedModel,
-    rule: DecisionRule,
     split_xy: tuple[np.ndarray, np.ndarray],
     cost: CostMatrix,
+    weights: np.ndarray | None = None,
 ) -> EvalResult:
-    """Cost-sensitive loss, accuracy (square matrices only), surrogate loss, cost SE."""
+    """Cost-sensitive loss, accuracy (square matrices only), surrogate loss, cost SE.
+
+    weights, from postprocess_search, replace the loss's decision (decide_batch).
+    """
     x, y = np.asarray(split_xy[0], float), np.asarray(split_xy[1], int)
     if len(x) == 0:
         raise ValueError("evaluation split is empty")
     scores = forward(model.params, x)
-    preds = model.loss.decide_batch(scores, rule)
+    preds = model.loss.decide_batch(scores, weights)
     cm = confusion(preds, y, cost.n_reports, cost.n_labels)
     csl = cost_sensitive_loss(cm, cost)
     acc = cm_accuracy(cm) if cost.is_square else None

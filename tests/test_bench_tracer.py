@@ -44,3 +44,20 @@ def test_traced_run_records_a_batch_span_per_loss_kind(tracer):
     batch_spans = {path[-1] for path in profile if path[-1].startswith("losses.batch.")}
     assert batch_spans == {f"losses.batch.{kind}" for kind in LOSS_KINDS}
     assert {path[0] for path in profile} == {"harness.run_experiment"}
+
+
+def test_traced_run_records_a_decide_span_per_cell(tracer):
+    # cross_entropy_post decides by postprocess_search's weights, through the
+    # same traced BoundLoss.decide_batch as every other loss.
+    cfg = harness.ExperimentConfig(n_samples=60, losses=harness.LOSS_LABELS, n_epochs=2,
+                                   n_seeds=2, workers=1)
+    with tracer.Tracer().installed() as t:
+        rows = harness.run_experiment(cfg)
+    profile, _ = t.take()
+    assert not any(r.failed for r in rows)
+    decide_calls = {path: rec[tracer.CALLS] for path, rec in profile.items()
+                    if path[-1] == "losses.decide_batch"}
+    assert decide_calls == {("harness.run_experiment", "harness.run_cell",
+                             "models.evaluate", "losses.decide_batch"): len(rows)}
+    post = profile.sum(tracer.CALLS, leaf=lambda name: name == "losses.postprocess_search")
+    assert post == cfg.n_seeds

@@ -145,6 +145,22 @@ table = out/table.md
     assert (tmp_path / "out/rows_mlp.csv").exists()
 
 
+def test_ablate_names_failed_cells(tiny_config, tmp_path, monkeypatch, capsys):
+    # ablate shares run's output path: a failed cell is named on stderr.
+    from costbench import cli
+    from costbench.harness import ResultRow
+
+    nan = float("nan")
+    row = ResultRow("synthetic", "cross_entropy", 1, nan, None, nan, nan, nan,
+                    failed="diverged at epoch 7")
+    monkeypatch.setattr(cli, "run_experiment", lambda cfg: [row])
+    monkeypatch.chdir(tmp_path)
+    assert main(["ablate", "mlp", str(tiny_config)]) == 1
+    err = capsys.readouterr().err
+    assert "cell failed: synthetic/cross_entropy/seed 1: diverged at epoch 7" in err
+    assert (tmp_path / "out/rows_mlp.csv").exists()
+
+
 def test_main_function_direct(tiny_config, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["run", str(tiny_config)]) == 0

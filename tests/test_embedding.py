@@ -32,7 +32,7 @@ from costbench.embedding import (
     verify_alpha_separation,
     verify_embedding,
 )
-from costbench.losses import BoundLoss, DecisionRule, LossSpec, decide_batch
+from costbench.losses import BoundLoss, LossSpec
 
 ALPHA_QUARTER = binary_alpha_matrix(0.25)
 STUDENT = severity_three_class_matrix()
@@ -49,7 +49,7 @@ def hinge_values(loss, us, y):
 
 
 def hinge_link(us):
-    return decide_batch(DecisionRule("sign"), np.asarray(us, dtype=float)[:, None])
+    return hinge(0.5).decide_batch(np.asarray(us, dtype=float)[:, None])
 
 
 def hinge_axis(s, U):
@@ -113,12 +113,14 @@ def test_zero_one_binary_reduces_to_hinge():
     """The generic construction and the scalar hinge agree for 0-1 costs."""
     s = build_embedding_surrogate(zero_one_matrix(2))
     loss = hinge(0.5)
-    assert loss.default_rule().kind == "sign"
+    # The linked decision is sign(u), ties to report 0.
+    edge = np.array([[-1e-12], [0.0], [1e-12]])
+    assert np.array_equal(loss.decide_batch(edge), [0, 0, 1])
     rng = np.random.default_rng(3)
     U = rng.uniform(-4, 4, size=(10_000, 2))
     v = hinge_axis(s, U)
     generic = link_many(s, U)
-    scalar = loss.decide_batch(v[:, None], loss.default_rule())
+    scalar = loss.decide_batch(v[:, None])
     assert np.array_equal(generic, scalar)
     # The scalar hinge carries the cost values at half scale (its costs are
     # the normalized alpha form); the generic construction carries them 1:1.

@@ -194,6 +194,26 @@ def test_parse_config_rejects_batch_size(tmp_path):
         parse_config(path)
 
 
+def test_config_rejects_bad_train_and_postprocess_values(tmp_path, capsys):
+    # Rejected when the config is read, not once the first cell has trained.
+    from costbench.cli import main
+
+    for section, key, value in [("postprocess", "n_candidates", "0"),
+                                ("train", "n_epochs", "0"),
+                                ("train", "learning_rate", "-1"),
+                                ("train", "learning_rate", "nan")]:
+        path = tmp_path / f"{key}_{value}.cfg"
+        path.write_text(f"[{section}]\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: [{section}] {key}")):
+            parse_config(path)
+        assert main(["run", str(path)]) == 2
+        assert f"{path}: [{section}] {key}" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match="n_candidates"):
+        ExperimentConfig(postprocess_candidates=0)
+    with pytest.raises(ConfigError, match="n_epochs"):
+        ExperimentConfig(n_epochs=0)
+
+
 def test_preset_application():
     cfg = ExperimentConfig(dataset="synthetic", n_samples=500)
     full = apply_preset(cfg, "full_data")

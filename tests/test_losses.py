@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,13 +22,10 @@ from costbench.embedding import (
 from costbench.losses import (
     LOSS_KINDS,
     BoundLoss,
-    DecisionRule,
     LossSpec,
     NonFiniteScores,
     class_weights,
     cross_entropy,
-    decide,
-    decide_batch,
     embedding_raw_batch,
     embedding_softmax_batch,
     embedding_softmax_loss,
@@ -339,49 +338,126 @@ def test_stacked_batch_matches_separate_calls(name):
                 _assert_same_bits(grads[part], want_grads)
 
 
-# --- decision rules -------------------------------------------------------------
+# --- decisions -------------------------------------------------------------------
+
+
+def _decide(cost, scores, weights=None):
+    """cross_entropy's decision on cost, or the weighted argmax under weights."""
+    return BoundLoss(LossSpec("cross_entropy", cost)).decide_batch(scores, weights)
 
 
 def test_decide_argmax_and_ties():
-    rule = DecisionRule("argmax")
-    assert decide(rule, [0.1, 0.9, 0.3]) == 1
-    assert decide(rule, [0.5, 0.5, 0.1]) == 0  # tie -> lowest index
+    got = _decide(STUDENT, np.array([[0.1, 0.9, 0.3], [0.5, 0.5, 0.1]]))
+    assert np.array_equal(got, [1, 0])  # tie -> lowest index
 
 
 def test_weighted_argmax_uniform_equals_argmax(rng):
-    uni = DecisionRule("weighted_argmax", np.full(3, 1 / 3))
-    plain = DecisionRule("argmax")
     S = rng.normal(size=(200, 3))
-    assert np.array_equal(decide_batch(uni, S), decide_batch(plain, S))
+    assert np.array_equal(_decide(STUDENT, S, np.full(3, 1 / 3)), _decide(STUDENT, S))
 
 
 def test_weighted_argmax_is_threshold_in_binary():
     # weights (w0, w1) decide 1 iff score gap exceeds log(w0 / w1).
     w = np.array([0.7, 0.3])
-    rule = DecisionRule("weighted_argmax", w)
     tau = np.log(w[0] / w[1])
     gaps = np.linspace(-3, 3, 601)
     S = np.column_stack([np.zeros_like(gaps), gaps])
-    got = decide_batch(rule, S)
+    got = _decide(ALPHA6, S, w)
     want = (gaps > tau).astype(int)
     assert np.array_equal(got, want)
 
 
-def test_weighted_argmax_requires_positive_weights():
-    with pytest.raises(ValueError):
-        DecisionRule("weighted_argmax", np.array([0.5, 0.0]))
+def _decision_inputs(width, n_labels):
+    rng = np.random.default_rng(0)
+    return rng.normal(scale=2.0, size=(500, width)), rng.integers(0, n_labels, 500)
 
 
-def test_embedding_link_rule_requires_surrogate():
-    with pytest.raises(ValueError):
-        decide(DecisionRule("embedding_link"), [0.0, 0.0])
+def _digest(preds):
+    return hashlib.sha256(np.asarray(preds, dtype=np.int64).tobytes()).hexdigest()
+
+
+# sha256 of the int64 decisions on _decision_inputs, for every stock matrix and
+# every loss kind it takes; cross_entropy_post decides by postprocess_search's
+# weights. Taken before BoundLoss carried its own decision, so that moving the
+# decisions is checked to change no report.
+_ARGMAX2 = "818b6ba4e5f97cb1205c5e64e3fa363b91a8c3881aa437ccf1ad5917756520a3"
+_ARGMAX3 = "056dc2d6e144a1704ec5f672bee34c0702ba561affadbc416f61acc3461d783a"
+_SIGN = "a701095522d448e000fbade6bdf33cbc6aa7471851bdec73c6d4ad1be21c88d2"
+_POST_ALPHA = "61549918be000e66f619405a201d3422a266917573e0b74bc01ddbcb8f0ad40f"
+DECISION_DIGESTS = {
+    ("binary_alpha_1_6", "cross_entropy"): _ARGMAX2,
+    ("binary_alpha_1_6", "scaled_cross_entropy"): _ARGMAX2,
+    ("binary_alpha_1_6", "embedding"):
+        "105411eb588ac0f747ce4b9fb1e7f431c63755da6bf85ddef6cb148bb5635b2e",
+    ("binary_alpha_1_6", "embedding_softmax"): _ARGMAX2,
+    ("binary_alpha_1_6", "weighted_hinge"): _SIGN,
+    ("binary_alpha_1_6", "cross_entropy_post"): _POST_ALPHA,
+    ("binary_alpha_1_4", "cross_entropy"): _ARGMAX2,
+    ("binary_alpha_1_4", "scaled_cross_entropy"): _ARGMAX2,
+    ("binary_alpha_1_4", "embedding"):
+        "c7fa8dfc2adc590cff1c0d83de78f7f9aa7aa41b3132aacd2aeebfdde11f5f1a",
+    ("binary_alpha_1_4", "embedding_softmax"): _ARGMAX2,
+    ("binary_alpha_1_4", "weighted_hinge"): _SIGN,
+    ("binary_alpha_1_4", "cross_entropy_post"): _POST_ALPHA,
+    ("zero_one_binary", "cross_entropy"): _ARGMAX2,
+    ("zero_one_binary", "scaled_cross_entropy"): _ARGMAX2,
+    ("zero_one_binary", "embedding"): _ARGMAX2,
+    ("zero_one_binary", "embedding_softmax"): _ARGMAX2,
+    ("zero_one_binary", "weighted_hinge"): _SIGN,
+    ("zero_one_binary", "cross_entropy_post"):
+        "3738eaae420e8fc28c71ccf5cb8cb556de0c329b99d402326622627943164a84",
+    ("zero_one_three_class", "cross_entropy"): _ARGMAX3,
+    ("zero_one_three_class", "scaled_cross_entropy"): _ARGMAX3,
+    ("zero_one_three_class", "embedding"): _ARGMAX3,
+    ("zero_one_three_class", "embedding_softmax"): _ARGMAX3,
+    ("zero_one_three_class", "cross_entropy_post"):
+        "e12711dab8ca096913286fe11be34d20c26b341c6794c07726ff66c3e0d0dd74",
+    ("german_credit", "cross_entropy"): _ARGMAX2,
+    ("german_credit", "scaled_cross_entropy"): _ARGMAX2,
+    ("german_credit", "embedding"):
+        "400473cc8b23235dbb98af487469e2baca706e051b2ffb4e40691cfeeec674fa",
+    ("german_credit", "embedding_softmax"): _ARGMAX2,
+    ("german_credit", "weighted_hinge"): _SIGN,
+    ("german_credit", "cross_entropy_post"): _POST_ALPHA,
+    ("german_credit_deferral", "cross_entropy"): _ARGMAX2,
+    ("german_credit_deferral", "scaled_cross_entropy"): _ARGMAX2,
+    ("german_credit_deferral", "embedding"):
+        "0a67c1c57289a0688e8bad330f5ba5600cd7d8a8aab0e7b1c0e43a44314dfe69",
+    ("german_credit_deferral", "embedding_softmax"):
+        "8afb2535a508c6db7629bc77bbc62101fdb6d90a658f7c9bf4a11f603ddbc146",
+    ("severity_three_class", "cross_entropy"): _ARGMAX3,
+    ("severity_three_class", "scaled_cross_entropy"): _ARGMAX3,
+    ("severity_three_class", "embedding"):
+        "2b3208d571b5a24e32547ae299d4bdc72a046ee8034b98ca769fbb8516c82bd0",
+    ("severity_three_class", "embedding_softmax"):
+        "dd68b2399529a80aed818078372a72a682be706df56f5d5f0d5cec43742028d0",
+    ("severity_three_class", "cross_entropy_post"):
+        "0c567534a09e04a70a606cd8accbfe591bd2cf29a6945ba228aed6c7de612922",
+}
+
+
+def test_decisions_pinned_for_every_loss_kind():
+    got = {}
+    for name, cost in stock_matrices().items():
+        for kind in LOSS_KINDS:
+            try:
+                loss = BoundLoss(LossSpec(kind, cost))
+            except ValueError:
+                continue  # weighted_hinge takes only zero-diagonal 2x2 matrices
+            scores, _ = _decision_inputs(loss.out_dim, cost.n_labels)
+            got[name, kind] = _digest(loss.decide_batch(scores))
+        if cost.is_square:
+            scores, labels = _decision_inputs(cost.n_reports, cost.n_labels)
+            weights = postprocess_search(scores, labels, cost)
+            got[name, "cross_entropy_post"] = _digest(_decide(cost, scores, weights))
+    assert got == DECISION_DIGESTS
 
 
 # --- post-processing search -------------------------------------------------------
 
 
-def _val_csl(scores, labels, cost, rule):
-    preds = decide_batch(rule, scores)
+def _val_csl(scores, labels, cost, weights=None):
+    preds = _decide(cost, scores, weights)
     return cost_sensitive_loss(confusion(preds, labels, cost.n_reports, cost.n_labels), cost)
 
 
@@ -393,9 +469,8 @@ def test_postprocess_never_costs_more_than_argmax(name, seed):
     n, k = 100 + 40 * seed, cost.n_reports
     labels = rng.integers(0, cost.n_labels, n)
     scores = rng.normal(size=(n, k)) + 1.5 * (labels[:, None] == np.arange(k))
-    rule = postprocess_search(scores, labels, cost, 100, rng_seed=seed)
-    argmax_csl = _val_csl(scores, labels, cost, DecisionRule("argmax"))
-    assert _val_csl(scores, labels, cost, rule) <= argmax_csl
+    w = postprocess_search(scores, labels, cost, 100, rng_seed=seed)
+    assert _val_csl(scores, labels, cost, w) <= _val_csl(scores, labels, cost)
 
 
 @pytest.mark.parametrize("name", ["synthetic", "student", "zero_one3"])
@@ -407,20 +482,19 @@ def test_postprocess_equal_scores(name):
             "zero_one3": zero_one_matrix(3)}[name]
     labels = np.arange(90) % cost.n_labels
     scores = np.zeros((90, cost.n_reports))
-    rule = postprocess_search(scores, labels, cost, 100, rng_seed=4)
-    argmax_csl = _val_csl(scores, labels, cost, DecisionRule("argmax"))
-    assert _val_csl(scores, labels, cost, rule) <= argmax_csl
+    w = postprocess_search(scores, labels, cost, 100, rng_seed=4)
+    assert _val_csl(scores, labels, cost, w) <= _val_csl(scores, labels, cost)
     if name == "zero_one3":
-        assert np.all(rule.weights == 1.0 / 3)
+        assert np.all(w == 1.0 / 3)
 
 
 def test_postprocess_never_beats_uniform_candidate(rng):
     cost = zero_one_matrix(2)
     scores = rng.normal(size=(120, 2))
     labels = rng.integers(0, 2, 120)
-    rule = postprocess_search(scores, labels, cost, 50, rng_seed=0)
-    got = _val_csl(scores, labels, cost, rule)
-    base = _val_csl(scores, labels, cost, DecisionRule("argmax"))
+    w = postprocess_search(scores, labels, cost, 50, rng_seed=0)
+    got = _val_csl(scores, labels, cost, w)
+    base = _val_csl(scores, labels, cost)
     assert got <= base + 1e-12
 
 
@@ -429,20 +503,18 @@ def test_postprocess_favors_costly_class(rng):
     # Scores carry signal; costs make false negatives 5x worse.
     labels = rng.integers(0, 2, 400)
     scores = np.column_stack([np.zeros(400), rng.normal(2.0 * labels - 1.0, 1.5)])
-    rule = postprocess_search(scores, labels, cost, 100, rng_seed=3)
-    assert rule.kind == "weighted_argmax"
-    assert rule.weights[1] > rule.weights[0]  # leans toward predicting +1
-    assert _val_csl(scores, labels, cost, rule) <= _val_csl(
-        scores, labels, cost, DecisionRule("argmax")
-    )
+    w = postprocess_search(scores, labels, cost, 100, rng_seed=3)
+    assert w.shape == (2,) and np.all(w > 0)
+    assert w[1] > w[0]  # leans toward predicting +1
+    assert _val_csl(scores, labels, cost, w) <= _val_csl(scores, labels, cost)
 
 
 def test_postprocess_deterministic(rng):
     scores = rng.normal(size=(60, 3))
     labels = rng.integers(0, 3, 60)
-    r1 = postprocess_search(scores, labels, STUDENT, 40, rng_seed=11)
-    r2 = postprocess_search(scores, labels, STUDENT, 40, rng_seed=11)
-    assert np.array_equal(r1.weights, r2.weights)
+    w1 = postprocess_search(scores, labels, STUDENT, 40, rng_seed=11)
+    w2 = postprocess_search(scores, labels, STUDENT, 40, rng_seed=11)
+    assert np.array_equal(w1, w2)
 
 
 def test_postprocess_rejects_empty():

@@ -7,7 +7,7 @@ from costbench.costs import (
     stock_matrices,
     synthetic_cost_matrix,
 )
-from costbench.losses import BoundLoss, DecisionRule, LossSpec
+from costbench.losses import BoundLoss, LossSpec
 from costbench.models import (
     ModelSpec,
     TrainConfig,
@@ -217,7 +217,7 @@ def test_evaluate_perfect_model():
     from costbench.models import TrainedModel
 
     model = TrainedModel(spec, loss, params, np.zeros((1, 2)), 0)
-    res = evaluate(model, DecisionRule("argmax"), (x, y), ALPHA6)
+    res = evaluate(model, (x, y), ALPHA6)
     assert res.csl == 0.0 and res.accuracy == 1.0
 
 
@@ -230,7 +230,7 @@ def test_evaluate_constant_prediction_base_rate(rng):
 
     model = TrainedModel(ModelSpec("linear", 2, 2, init_seed=0), loss, params,
                          np.zeros((1, 2)), 0)
-    res = evaluate(model, DecisionRule("argmax"), (x, y), ALPHA6)
+    res = evaluate(model, (x, y), ALPHA6)
     want = y.mean() * ALPHA6.entries[0, 1]  # every positive costs 5/6
     assert res.csl == pytest.approx(want, abs=1e-12)
 
@@ -242,8 +242,8 @@ def test_evaluate_order_invariant(rng):
                   (x[:60], y[:60]), (x[60:], y[60:]),
                   TrainConfig(learning_rate=0.2, n_epochs=50))
     perm = rng.permutation(80)
-    a = evaluate(model, DecisionRule("argmax"), (x, y), ALPHA6)
-    b = evaluate(model, DecisionRule("argmax"), (x[perm], y[perm]), ALPHA6)
+    a = evaluate(model, (x, y), ALPHA6)
+    b = evaluate(model, (x[perm], y[perm]), ALPHA6)
     assert a.csl == b.csl and a.accuracy == b.accuracy
 
 
@@ -257,12 +257,11 @@ def test_evaluate_cost_se_matches_second_pass(kind, rng):
     model = train(ModelSpec("linear", 2, loss.out_dim, init_seed=3), loss,
                   (x[:60], y[:60]), (x[60:], y[60:]),
                   TrainConfig(learning_rate=0.2, n_epochs=20))
-    rule = loss.default_rule()
-    costs = ALPHA6.entries[loss.decide_batch(model.scores(x), rule), y]
+    costs = ALPHA6.entries[loss.decide_batch(model.scores(x)), y]
     want = float(costs.std(ddof=1) / np.sqrt(len(costs)))
     assert want > 0
-    assert evaluate(model, rule, (x, y), ALPHA6).cost_se == want
-    assert evaluate(model, rule, (x[:1], y[:1]), ALPHA6).cost_se == 0.0
+    assert evaluate(model, (x, y), ALPHA6).cost_se == want
+    assert evaluate(model, (x[:1], y[:1]), ALPHA6).cost_se == 0.0
 
 
 def test_evaluate_deferral_has_no_accuracy(rng):
@@ -274,7 +273,7 @@ def test_evaluate_deferral_has_no_accuracy(rng):
     model = train(ModelSpec("linear", 2, 2, init_seed=3), loss,
                   (x[:30], y[:30]), (x[30:], y[30:]),
                   TrainConfig(learning_rate=0.2, n_epochs=30))
-    res = evaluate(model, loss.default_rule(), (x, y), cost)
+    res = evaluate(model, (x, y), cost)
     assert res.accuracy is None
     assert res.confusion.shape == (3, 2)
 
@@ -398,10 +397,8 @@ def test_train_matches_reference_loop(kind, mode, selection, synthetic_splits):
     cfg = TrainConfig(**cfg_kw)
     metric = None
     if selection == "val_csl":
-        rule = loss.default_rule()
-
         def metric(s_va):
-            preds = loss.decide_batch(s_va, rule)
+            preds = loss.decide_batch(s_va)
             return cost_sensitive_loss(
                 confusion(preds, va[1], cost.n_reports, cost.n_labels), cost)
 
@@ -516,10 +513,8 @@ def test_one_loss_pass_per_epoch(kind, selection, synthetic_splits):
     tr, va = synthetic_splits
     metric = None
     if selection == "val_csl":
-        rule = loss.default_rule()
-
         def metric(s_va):
-            return float(np.mean(loss.decide_batch(s_va, rule) != va[1]))
+            return float(np.mean(loss.decide_batch(s_va) != va[1]))
 
     cfg = TrainConfig(learning_rate=0.5, n_epochs=25)
     train(ModelSpec("linear", 2, loss.out_dim, init_seed=2), loss, tr, va, cfg,
