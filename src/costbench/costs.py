@@ -7,6 +7,8 @@ display names are metadata only.
 """
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -195,23 +197,24 @@ def simplex_grid(n_labels: int, resolution: float) -> np.ndarray:
     """All probability vectors with coordinates that are multiples of resolution.
 
     resolution must be 1/q for an integer q >= 1. Returns an array of shape
-    (n_points, n_labels) in deterministic lexicographic order.
+    (n_points, n_labels) in deterministic lexicographic order. Built by stars
+    and bars: a point's coordinates are the gaps between n_labels - 1 bars
+    among q + n_labels - 1 slots, and bar positions in lexicographic order
+    give the points in lexicographic order.
     """
     if resolution <= 0 or resolution > 1:
         raise ValueError("resolution must lie in (0, 1]")
     q = int(round(1.0 / resolution))
     if abs(q * resolution - 1.0) > 1e-9:
         raise ValueError("resolution must be the reciprocal of an integer")
-
-    def comps(total, parts):
-        if parts == 1:
-            yield (total,)
-            return
-        for head in range(total + 1):
-            for rest in comps(total - head, parts - 1):
-                yield (head,) + rest
-
-    pts = np.array(list(comps(q, n_labels)), dtype=float) / q
+    slots, n_bars = q + n_labels - 1, n_labels - 1
+    n_points = math.comb(slots, n_bars)
+    bars = itertools.chain.from_iterable(itertools.combinations(range(slots), n_bars))
+    edges = np.pad(np.fromiter(bars, np.int32, n_points * n_bars).reshape(n_points, n_bars),
+                   ((0, 0), (1, 1)), constant_values=(-1, slots))
+    pts = np.subtract(edges[:, 1:], edges[:, :-1], dtype=float)  # in place: a low peak
+    pts -= 1.0
+    pts /= q
     return pts
 
 

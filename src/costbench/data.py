@@ -370,6 +370,13 @@ def load_uci(name: str) -> Dataset:
     return ds
 
 
+def split_sizes(n: int, fractions: tuple[float, float, float]) -> tuple[int, int, int]:
+    """Train, validation and test sizes of an n-row split under fractions."""
+    n_train = int(round(fractions[0] * n))
+    n_val = min(int(round(fractions[1] * n)), n - n_train)
+    return n_train, n_val, n - n_train - n_val
+
+
 def subsample_and_split(
     ds: Dataset,
     n: int,
@@ -383,9 +390,7 @@ def subsample_and_split(
         raise ValueError("fractions must sum to 1")
     rng = np.random.default_rng(seed)
     chosen = rng.choice(len(ds), size=n, replace=False)
-    n_train = int(round(fractions[0] * n))
-    n_val = int(round(fractions[1] * n))
-    n_val = min(n_val, n - n_train)
+    n_train, n_val, _ = split_sizes(n, fractions)
     return SplitIndices(
         train=chosen[:n_train],
         val=chosen[n_train : n_train + n_val],

@@ -93,16 +93,11 @@ class RegretProfile:
                 + [f"u{i}" for i in range(self.u_points.shape[1])]
                 + ["surrogate_regret", "target_regret"]
             )
-            for i in range(len(self.surrogate_regret)):
-                w.writerow(
-                    [self.loss_id, self.link_id]
-                    + [repr(float(v)) for v in self.p_points[i]]
-                    + [repr(float(v)) for v in self.u_points[i]]
-                    + [
-                        repr(float(self.surrogate_regret[i])),
-                        repr(float(self.target_regret[i])),
-                    ]
-                )
+            # str of a Python float is its repr: the shortest round-trip text.
+            values = np.column_stack(
+                [self.p_points, self.u_points, self.surrogate_regret, self.target_regret]
+            )
+            w.writerows([self.loss_id, self.link_id, *row] for row in values.tolist())
 
 
 def regret_profile(

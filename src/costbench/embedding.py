@@ -480,10 +480,11 @@ def verify_alpha_separation(
     For every grid distribution p and sampled prediction u whose linked report
     is not cost-optimal at p, the distance from u to the inner approximation
     conv{phi(r) : r optimal at p} + span{1} must be at least alpha. The
-    distance depends on p only through its optimal-report set, so grid points
-    are grouped by that set before the distance computation. Grid points whose
-    runner-up cost gap is within twice the grid resolution of a tie are
-    reported separately instead of counted as failures.
+    distance depends on p only through its optimal-report set, so one pass
+    groups the grid points by that set and by their near-tie flag, and the
+    distance is computed once per optimal set. Grid points whose runner-up
+    cost gap is within twice the grid resolution of a tie are reported
+    separately instead of counted as failures.
     """
     if p_grid_res <= 0 or n_u_samples < 1:
         raise ValueError("need positive resolution and sample count")
@@ -493,49 +494,52 @@ def verify_alpha_separation(
     rng = np.random.default_rng(rng_seed)
     U = sample_predictions(s, n_u_samples, rng)
     psi = link_many(s, U)
-    psi_class = np.asarray(s.report_class)[psi]
+    report_class = np.asarray(s.report_class)
+    psi_class = report_class[psi]
 
     grid = simplex_grid(s.n_labels, p_grid_res)
     report_costs = grid @ rows.T
-    lbar = report_costs.min(axis=1)
-    gaps = report_costs - lbar[:, None]
+    gaps = report_costs - report_costs.min(axis=1, keepdims=True)
     optimal = gaps <= TIE_EPS
     # Distance in p-space to a tie boundary is roughly gap / row-scale.
     row_scale = np.ptp(rows, axis=0).max()
     runner_up = np.where(optimal, np.inf, gaps).min(axis=1)
     near_tie = runner_up <= 2.0 * p_grid_res * row_scale
 
-    groups: dict[tuple[tuple[int, ...], bool], list[int]] = {}
-    for i in range(len(grid)):
-        classes = {s.report_class[r] for r in np.flatnonzero(optimal[i])}
-        key = (tuple(sorted(classes)), bool(near_tie[i]))
-        groups.setdefault(key, []).append(i)
+    # One row per grid point: which report classes are optimal, then the flag.
+    in_class = report_class[:, None] == np.arange(len(report_class))
+    keys = np.column_stack([optimal @ in_class, near_tie])
+    keys, first, counts = np.unique(keys, axis=0, return_index=True, return_counts=True)
+    groups = sorted(
+        (tuple(np.flatnonzero(key[:-1]).tolist()), bool(key[-1]), int(i), int(n))
+        for key, i, n in zip(keys, first, counts)
+    )
 
     violations: list[Violation] = []
     flags: list[Violation] = []
     n_checked = 0
-    for (classes, tie_flag), members in sorted(groups.items()):
+    prev = None
+    for classes, tie_flag, first_member, n_members in groups:
         mask = ~np.isin(psi_class, classes)
-        n_checked += int(mask.sum()) * len(members)
+        n_checked += int(mask.sum()) * n_members
         if not mask.any():
             continue
-        dists = dist_to_optimal_set(s, U[mask], classes)
+        if classes != prev:  # a set's tie-flagged twin follows it and reuses this
+            dists, prev = dist_to_optimal_set(s, U[mask], classes), classes
         bad = dists < alpha
         if not bad.any():
             continue
-        rep_p = grid[members[0]]
-        idxs = np.flatnonzero(mask)[bad]
         target = flags if tie_flag else violations
-        for j, dist in zip(idxs, dists[bad]):
+        for j, dist in zip(np.flatnonzero(mask)[bad], dists[bad]):
             target.append(
                 Violation(
                     kind="link-not-separated",
-                    p=tuple(rep_p),
+                    p=tuple(grid[first_member]),
                     report=int(psi[j]),
                     u=tuple(U[j]),
                     quantity=float(dist),
                     threshold=float(alpha),
-                    detail=f"(grid group of {len(members)} points)",
+                    detail=f"(grid group of {n_members} points)",
                 )
             )
     return ViolationReport(

@@ -89,6 +89,11 @@ class ExperimentConfig:
             )
         if self.n_seeds < 1:
             raise ConfigError("n_seeds must be >= 1")
+        if self.workers < 1:
+            raise ConfigError(f"[experiment] workers must be >= 1, got {self.workers!r}")
+        if min(sizes := data_mod.split_sizes(self.n_samples, self.fractions)) < 1:
+            raise ConfigError(f"[experiment] n_samples = {self.n_samples} leaves a split "
+                              f"empty under fractions {self.fractions}: {sizes}")
         if not self.losses:
             raise ConfigError("losses must name at least one loss")
         for label in self.losses:

@@ -277,43 +277,32 @@ def gradient_check(
     scores, acts = _forward_cache(params, x)
     keep = loss.kink_margin(scores) > margin
     # ReLU pre-activations near zero also break finite differences.
-    act = x
-    for w, b in params[:-1]:
-        z = act @ w + b
-        keep &= np.abs(z).min(axis=1) > margin
-        act = np.maximum(z, 0.0)
+    for act, (w, b) in zip(acts, params[:-1]):
+        keep &= np.abs(act @ w + b).min(axis=1) > margin
     if not keep.any():
         raise ValueError("every sample sits at a kink; enlarge the batch")
     x, y = x[keep], y[keep]
 
     _, grads = mean_loss_and_param_grads(params, loss, x, y)
-    flat_grads = np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads])
+    flat_grads = np.concatenate([a.ravel() for layer in grads for a in layer])
 
-    shapes = [(w.shape, b.shape) for w, b in params]
-    flat = np.concatenate([np.concatenate([w.ravel(), b]) for w, b in params])
-
-    def unflatten(v: np.ndarray) -> Params:
-        out = []
-        pos = 0
-        for wshape, bshape in shapes:
-            wn = int(np.prod(wshape))
-            w = v[pos : pos + wn].reshape(wshape)
-            pos += wn
-            b = v[pos : pos + bshape[0]]
-            pos += bshape[0]
-            out.append((w, b))
-        return out
-
+    flat = np.concatenate([a.ravel() for layer in params for a in layer])
     n = len(flat)
     coords = np.arange(n)
     if n > max_coords:
         coords = np.linspace(0, n - 1, max_coords).astype(int)
+    # One coordinate of one copy moves at a time, seen through views of it.
+    moved = flat.copy()
+    parts = np.split(moved, np.cumsum([a.size for layer in params for a in layer])[:-1])
+    moved_params = [(pw.reshape(w.shape), pb) for (w, _), pw, pb in
+                    zip(params, parts[::2], parts[1::2])]
     worst = 0.0
     for c in coords:
-        bump = np.zeros(n)
-        bump[c] = h
-        up = _mean_loss(unflatten(flat + bump), loss, x, y)
-        dn = _mean_loss(unflatten(flat - bump), loss, x, y)
+        moved[c] = flat[c] + h
+        up = _mean_loss(moved_params, loss, x, y)
+        moved[c] = flat[c] - h
+        dn = _mean_loss(moved_params, loss, x, y)
+        moved[c] = flat[c]
         fd = (up - dn) / (2 * h)
         denom = max(abs(fd), abs(flat_grads[c]), 1.0)
         worst = max(worst, abs(fd - flat_grads[c]) / denom)

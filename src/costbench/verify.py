@@ -99,19 +99,17 @@ def run_verify(
 
     def check_decisions():
         n = 10_000 if fast else 100_000
-        ds = sample_synthetic(n, rng_seed=rng_seed)
-        x = ds.features
+        x = sample_synthetic(n, rng_seed=rng_seed).features
         rng = np.random.default_rng(rng_seed + 1)
+        eta = posterior_pos_many(x)
         disagreements = 0
         for alpha in (1.0 / 6.0, 1.0 / 4.0, 1.0 / 2.0):
             cost = binary_alpha_matrix(alpha)
-            closed = bayes_decision_many(x, alpha)
-            eta = posterior_pos_many(x)
             # Expected cost of each report under the exact posterior, with the
             # same tie tolerance the enumerated rule uses.
             c = np.column_stack([eta * (1.0 - alpha), (1.0 - eta) * alpha])
             in_optimal = c <= c.min(axis=1, keepdims=True) + TIE_EPS
-            want = (closed > 0).astype(int)
+            want = (bayes_decision_many(x, alpha) > 0).astype(int)
             disagreements += int((~in_optimal[np.arange(n), want]).sum())
             # Spot-check the vectorized set against the reference enumeration.
             for i in rng.choice(n, size=200, replace=False):

@@ -224,6 +224,27 @@ def test_simplex_grid_shapes():
     assert grid.min() >= 0
 
 
+def _compositions(total, parts):
+    """Reference grid builder: every composition of total, lexicographically."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in _compositions(total - head, parts - 1):
+            yield (head,) + rest
+
+
+@pytest.mark.parametrize(
+    "n_labels, q",
+    [(k, q) for k in range(1, 7) for q in (1, 2, 3, 10, 20)] + [(2, 100), (3, 100)],
+)
+def test_simplex_grid_matches_recursive_reference(n_labels, q):
+    want = np.array(list(_compositions(q, n_labels)), dtype=float) / q
+    got = simplex_grid(n_labels, 1.0 / q)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def test_simplex_grid_rejects_bad_resolution():
     with pytest.raises(ValueError):
         simplex_grid(2, 0.3)

@@ -1,3 +1,4 @@
+import hashlib
 import sys
 
 import numpy as np
@@ -450,6 +451,23 @@ def test_alpha_separation_vacuous_when_linked_correctly():
     s = build_embedding_surrogate(binary_alpha_matrix(0.25))
     rep = verify_alpha_separation(s, 0.25, 10, rng_seed=0)
     assert rep.n_checked >= 0  # runs without error on tiny budgets
+
+
+# sha256 of every violation and near-tie flag line, then n_checked, at alpha = 2
+# (nearly every mislinked sample is reported) on every stock matrix and on
+# zero_one(4). The grouping, its order, each group's representative point and
+# size, and the distances all reach these bytes.
+ALPHA_SEPARATION_SHA256 = "120adc6bd0343c862c5aa988c42822a5b2d974d443648479fb2ac9f6a9dcf9d7"
+
+
+def test_alpha_separation_lines_pinned(surrogates):
+    h = hashlib.sha256()
+    for s in [*surrogates.values(), build_embedding_surrogate(zero_one_matrix(4))]:
+        rep = verify_alpha_separation(s, 0.05, 300, alpha=2.0)
+        for v in rep.violations + rep.near_tie_flags:
+            h.update(v.line().encode() + b"\n")
+        h.update(f"n_checked={rep.n_checked}\n".encode())
+    assert h.hexdigest() == ALPHA_SEPARATION_SHA256
 
 
 # --- hull distances ---------------------------------------------------------

@@ -187,6 +187,30 @@ def test_config_rejects_alpha_off_the_synthetic_task(tmp_path):
         parse_config(path)
 
 
+@pytest.mark.parametrize("line, key", [
+    ("n_samples = 2", "n_samples"),   # train 1, val 0, test 1 under 0.6/0.2/0.2
+    ("n_samples = 0", "n_samples"),
+    ("workers = 0", "workers"),
+    ("workers = -3", "workers"),
+])
+def test_config_rejects_empty_split_or_no_workers(tmp_path, capsys, line, key):
+    # Rejected when the config is read, naming the file and the key, not in
+    # the first cell with a message that names neither.
+    from costbench.cli import main
+
+    path = tmp_path / "small.cfg"
+    path.write_text(f"[experiment]\ndataset = synthetic\n{line}\n")
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: [experiment] {key}")):
+        parse_config(path)
+    assert main(["run", str(path)]) == 2
+    assert f"[experiment] {key}" in capsys.readouterr().err
+
+
+def test_config_accepts_smallest_nonempty_split():
+    assert ExperimentConfig(n_samples=4).n_samples == 4
+    assert ExperimentConfig(workers=1).workers == 1
+
+
 def test_parse_config_rejects_batch_size(tmp_path):
     path = tmp_path / "minibatch.cfg"
     path.write_text("[train]\nbatch_size = 32\n")

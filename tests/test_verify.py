@@ -66,3 +66,16 @@ def test_verify_side_bytes_pinned(tmp_path):
     path = tmp_path / "regret_profile.csv"
     embedding_regret_profile(s, 0.05, 100, seed=0).export_csv(path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == REGRET_PROFILE_SHA256
+
+
+# sha256 of the fast suite's PASS/FAIL lines without their timings: every
+# check's name, verdict and counts.
+FAST_SUITE_LINES_SHA256 = "71b8b84b5e64aade4a4a80c15c18a9101b240c472b67ce75819b48b6f3e51ad2"
+
+
+def test_fast_suite_lines_pinned():
+    _, results = run_verify(fast=True, rng_seed=0)
+    h = hashlib.sha256()
+    for r in results:
+        h.update(f"{'PASS' if r.ok else 'FAIL'} {r.name} {r.detail}\n".encode())
+    assert h.hexdigest() == FAST_SUITE_LINES_SHA256
