@@ -16,7 +16,6 @@ from .costs import (
     binary_alpha_matrix,
     confusion,
     cost_sensitive_loss,
-    expected_cost,
     german_credit_deferral_matrix,
     german_credit_matrix,
     load_cost_matrix,
@@ -27,12 +26,9 @@ from .costs import (
 )
 from .embedding import (
     EmbeddingSurrogate,
-    GameSolution,
     build_embedding_surrogate,
-    game_value,
-    link,
-    surrogate_subgradient,
-    surrogate_value,
+    link_many,
+    surrogate_values,
     verify_alpha_separation,
     verify_embedding,
 )
@@ -40,10 +36,7 @@ from .losses import (
     BoundLoss,
     LossSpec,
     class_weights,
-    cross_entropy,
-    embedding_softmax_loss,
     postprocess_search,
-    scaled_cross_entropy,
 )
 from .models import (
     ModelSpec,
@@ -58,9 +51,7 @@ from .models import (
 from .data import (
     Dataset,
     SplitIndices,
-    bayes_decision,
     load_uci,
-    posterior,
     sample_synthetic,
     subsample_and_split,
 )

@@ -83,6 +83,14 @@ def _cmd_table(args) -> int:
     return 0
 
 
+def worker_count(text: str) -> int:
+    """argparse type for --workers, so a bad value is reported against the flag."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="costbench",
@@ -92,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run an experiment config")
     p_run.add_argument("config")
-    p_run.add_argument("--workers", type=int, default=None)
+    p_run.add_argument("--workers", type=worker_count, default=None)
     p_run.set_defaults(fn=_cmd_run)
 
     p_abl = sub.add_parser("ablate", help="run a config under a preset")

@@ -123,14 +123,6 @@ def _check_dist(cost: CostMatrix, p: SimplexDist) -> np.ndarray:
     return p.probs
 
 
-def expected_cost(cost: CostMatrix, p: SimplexDist, r: int) -> float:
-    """Expected cost of deciding r when the label follows p."""
-    probs = _check_dist(cost, p)
-    if not 0 <= r < cost.n_reports:
-        raise IndexError(f"report index {r} out of range [0, {cost.n_reports})")
-    return float(cost.entries[r] @ probs)
-
-
 def expected_costs(cost: CostMatrix, p: SimplexDist) -> np.ndarray:
     """Expected cost of every report under p."""
     return cost.entries @ _check_dist(cost, p)

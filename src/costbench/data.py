@@ -23,7 +23,6 @@ from pathlib import Path
 import numpy as np
 
 from .costs import (
-    SimplexDist,
     german_credit_deferral_matrix,
     german_credit_matrix,
     severity_three_class_matrix,
@@ -106,22 +105,9 @@ def sample_synthetic(n: int, rng_seed: int) -> Dataset:
     )
 
 
-def posterior(x) -> SimplexDist:
-    """Conditional label distribution (P[-1], P[+1]) at a feature pair.
-
-    Equal-density ratio of the two Gaussians reduces to a logistic in
-    2 * x1 / x2. Requires x2 > 0.
-    """
-    x = np.asarray(x, dtype=float)
-    x1, x2 = float(x[0]), float(x[1])
-    if x2 <= 0:
-        raise ValueError("posterior requires x2 > 0")
-    eta = posterior_pos_many(np.array([[x1, x2]]))[0]
-    return SimplexDist(np.array([1.0 - eta, eta]))
-
-
 def posterior_pos_many(x: np.ndarray) -> np.ndarray:
-    """P[label=+1 | x] for rows of x; vectorized logistic(2 * x1 / x2)."""
+    """P[label=+1 | x] for rows of x: the ratio of the two Gaussian densities
+    reduces to logistic(2 * x1 / x2). Requires x2 > 0."""
     x = np.asarray(x, dtype=float)
     if np.any(x[:, 1] <= 0):
         raise ValueError("posterior requires x2 > 0")
@@ -134,17 +120,12 @@ def posterior_pos_many(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def bayes_decision(x, alpha: float) -> int:
-    """Cost-optimal decision in {-1, +1} for the binary alpha cost matrix.
-
-    Returns +1 iff x1 >= (x2 / 2) * log(alpha / (1 - alpha)); the boundary
-    itself decides +1. alpha = 1/2 reduces to sign(x1).
-    """
-    x = np.asarray(x, dtype=float)
-    return int(bayes_decision_many(x[None, :], alpha)[0])
-
-
 def bayes_decision_many(x: np.ndarray, alpha: float) -> np.ndarray:
+    """Cost-optimal decisions in {-1, +1} for the binary alpha cost matrix.
+
+    Each row decides +1 iff x1 >= (x2 / 2) * log(alpha / (1 - alpha)); the
+    boundary itself decides +1. alpha = 1/2 reduces to sign(x1).
+    """
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie strictly between 0 and 1")
     x = np.asarray(x, dtype=float)

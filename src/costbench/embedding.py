@@ -25,20 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .costs import (
-    TIE_EPS,
-    CostMatrix,
-    SimplexDist,
-    simplex_grid,
-)
-
-
-@dataclass(frozen=True, eq=False)
-class GameSolution:
-    """Value of G(u) together with a maximizing distribution."""
-
-    value: float
-    witness: SimplexDist
+from .costs import TIE_EPS, CostMatrix, simplex_grid
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,15 +232,6 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _check_u(s: EmbeddingSurrogate, u) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
-    if u.shape != (s.n_labels,):
-        raise ValueError(f"prediction must have shape ({s.n_labels},)")
-    if not np.all(np.isfinite(u)):
-        raise ValueError("prediction must be finite")
-    return u
-
-
 def game_values(s: EmbeddingSurrogate, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Batched G(u): values and the index of the maximizing vertex per row."""
     scores = U @ s.verts_p.T + s.verts_t
@@ -261,50 +239,33 @@ def game_values(s: EmbeddingSurrogate, U: np.ndarray) -> tuple[np.ndarray, np.nd
     return scores[np.arange(len(U)), idx], idx
 
 
-def game_value(s: EmbeddingSurrogate, u) -> GameSolution:
-    """Exact optimum of G(u) with a maximizing distribution as witness."""
-    u = _check_u(s, u)
-    vals, idx = game_values(s, u[None, :])
-    return GameSolution(float(vals[0]), SimplexDist(s.verts_p[idx[0]].copy()))
+def surrogate_values_and_subgradients(
+    s: EmbeddingSurrogate, U: np.ndarray, ys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """L(u, y) = G(u) - u_y and a subgradient for each row, from one vertex argmax.
 
-
-def surrogate_value(s: EmbeddingSurrogate, u, y: int) -> float:
-    """L(u, y) = G(u) - u_y; nonnegative, convex and piecewise-linear in u."""
-    u = _check_u(s, u)
-    if not 0 <= y < s.n_labels:
-        raise IndexError(f"label index {y} out of range")
-    vals, _ = game_values(s, u[None, :])
-    return float(vals[0] - u[y])
+    L is nonnegative, convex and piecewise-linear in u. The subgradient is the
+    maximizing vertex minus the indicator of y. At kinks (where the maximizing
+    vertex is not unique) it is the one selected by the stored vertex order;
+    training only ever needs some element of the subdifferential.
+    """
+    G, idx = game_values(s, U)
+    rows = np.arange(len(U))
+    grads = s.verts_p[idx]
+    grads[rows, ys] -= 1.0
+    return G - U[rows, ys], grads
 
 
 def surrogate_values(s: EmbeddingSurrogate, U: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    vals, _ = game_values(s, U)
-    return vals - U[np.arange(len(U)), ys]
-
-
-def surrogate_subgradient(s: EmbeddingSurrogate, u, y: int) -> np.ndarray:
-    """A subgradient of L(., y) at u: the game witness minus the label indicator.
-
-    At kinks (where the maximizing vertex is not unique) the returned vector is
-    the subgradient selected by the stored vertex order; training only ever
-    needs some element of the subdifferential.
-    """
-    u = _check_u(s, u)
-    if not 0 <= y < s.n_labels:
-        raise IndexError(f"label index {y} out of range")
-    _, idx = game_values(s, u[None, :])
-    g = s.verts_p[idx[0]].copy()
-    g[y] -= 1.0
-    return g
+    """L(u, y) for each row u of U and label y of ys."""
+    return surrogate_values_and_subgradients(s, U, ys)[0]
 
 
 def surrogate_subgradients(
     s: EmbeddingSurrogate, U: np.ndarray, ys: np.ndarray
 ) -> np.ndarray:
-    _, idx = game_values(s, U)
-    g = s.verts_p[idx].copy()
-    g[np.arange(len(U)), ys] -= 1.0
-    return g
+    """A subgradient of L(., y) at each row u of U, for the label y of ys."""
+    return surrogate_values_and_subgradients(s, U, ys)[1]
 
 
 def link_many(s: EmbeddingSurrogate, U: np.ndarray) -> np.ndarray:
@@ -328,12 +289,6 @@ def link_many(s: EmbeddingSurrogate, U: np.ndarray) -> np.ndarray:
         diff = U[members][:, None, :] - s.phi[list(cands)][None, :, :]
         out[members] = np.asarray(cands)[np.argmin(_quotient_norm(diff), axis=1)]
     return out
-
-
-def link(s: EmbeddingSurrogate, u) -> int:
-    """Map a surrogate prediction to a report."""
-    u = _check_u(s, u)
-    return int(link_many(s, u[None, :])[0])
 
 
 def sample_predictions(

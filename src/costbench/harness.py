@@ -34,13 +34,7 @@ from .models import (
 )
 from .seeding import mix_seed
 
-DATASET_NAMES = (
-    "synthetic",
-    "german_credit",
-    "german_credit_deferral",
-    "student_performance",
-    "diabetes",
-)
+DATASET_NAMES = ("synthetic", *data_mod.UCI_SPECS)
 
 # cross_entropy_post: cross-entropy decided by postprocess_search's weighted argmax.
 LOSS_LABELS = LOSS_KINDS + ("cross_entropy_post",)
@@ -112,11 +106,6 @@ class ExperimentConfig:
         if self.postprocess_candidates < 1:
             raise ConfigError("[postprocess] n_candidates must be >= 1, "
                               f"got {self.postprocess_candidates!r}")
-        if "cross_entropy_post" in self.losses and self.dataset == "german_credit_deferral":
-            raise ConfigError(
-                "cross_entropy_post is undefined when reports != labels "
-                "(weighted argmax has no deferral score)"
-            )
         # Reject a loss the dataset's matrix cannot take before any cell trains.
         try:
             cost = _dataset_cost_matrix(self.dataset, self.alpha)
@@ -296,7 +285,12 @@ def load_dataset(cfg: ExperimentConfig, split_seed: int):
 
 
 def _loss_spec(label: str, cost: CostMatrix) -> LossSpec:
-    return LossSpec("cross_entropy" if label == "cross_entropy_post" else label, cost)
+    if label != "cross_entropy_post":
+        return LossSpec(label, cost)
+    if not cost.is_square:
+        raise ValueError("cross_entropy_post is undefined when reports != labels "
+                         "(weighted argmax has no deferral score)")
+    return LossSpec("cross_entropy", cost)
 
 
 def make_loss(label: str, cost: CostMatrix) -> BoundLoss:
@@ -499,23 +493,16 @@ def _markdown_table(cells: list[AggregateCell]) -> str:
 # Ablation presets.
 # ---------------------------------------------------------------------------
 
-FULL_DATA_SIZES = {
-    "synthetic": 10000,
-    "german_credit": 1000,
-    "german_credit_deferral": 1000,
-    "student_performance": 4424,
-    "diabetes": 253680,
-}
+FULL_DATA_SYNTHETIC = 10000  # UCI datasets use every row of the raw file
 
 ABLATION_PRESETS = ("full_data", "mlp")
 
 
 def apply_preset(cfg: ExperimentConfig, preset: str) -> ExperimentConfig:
     if preset == "full_data":
-        n = FULL_DATA_SIZES.get(cfg.dataset)
-        if n is None:
-            raise ConfigError(f"no full-data size known for {cfg.dataset}")
-        return replace(cfg, n_samples=n)
+        if cfg.dataset == "synthetic":
+            return replace(cfg, n_samples=FULL_DATA_SYNTHETIC)
+        return replace(cfg, n_samples=data_mod.UCI_SPECS[cfg.dataset].expected_rows)
     if preset == "mlp":
         return replace(cfg, model_kind="mlp", learning_rate=None)
     raise ConfigError(f"unknown preset {preset!r}; one of {ABLATION_PRESETS}")

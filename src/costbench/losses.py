@@ -18,8 +18,8 @@ from .costs import CostMatrix, confusion, cost_sensitive_loss
 from .embedding import (
     EmbeddingSurrogate,
     build_embedding_surrogate,
-    game_values,
     link_many,
+    surrogate_values_and_subgradients,
 )
 
 LOSS_KINDS = (
@@ -88,11 +88,6 @@ def cross_entropy_batch(scores: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray,
     return vals, grads
 
 
-def cross_entropy(scores, y: int) -> tuple[float, np.ndarray]:
-    vals, grads = cross_entropy_batch(np.asarray(scores, dtype=float)[None, :], [y])
-    return float(vals[0]), grads[0]
-
-
 def class_weights(cost: CostMatrix) -> np.ndarray:
     """Mean misclassification cost per label: the column means of the matrix."""
     return cost.entries.mean(axis=0)
@@ -107,35 +102,13 @@ def scaled_cross_entropy_batch(
     return w * vals, w[:, None] * grads
 
 
-def scaled_cross_entropy(cost: CostMatrix, scores, y: int) -> tuple[float, np.ndarray]:
-    vals, grads = scaled_cross_entropy_batch(
-        class_weights(cost), np.asarray(scores, dtype=float)[None, :], [y]
-    )
-    return float(vals[0]), grads[0]
-
-
-def _surrogate_values_and_subgradients(
-    s: EmbeddingSurrogate, U: np.ndarray, ys: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """surrogate_values and surrogate_subgradients from one vertex argmax.
-
-    L(u, y) = G(u) - u_y, and its subgradient is the maximizing vertex minus
-    the indicator of y.
-    """
-    G, idx = game_values(s, U)
-    rows = np.arange(len(U))
-    grads = s.verts_p[idx]
-    grads[rows, ys] -= 1.0
-    return G - U[rows, ys], grads
-
-
 def embedding_raw_batch(
     s: EmbeddingSurrogate, U: np.ndarray, ys: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Surrogate loss on directly-predicted points, with exact subgradients."""
     U = _check_scores(U)
     ys = np.asarray(ys, dtype=int)
-    return _surrogate_values_and_subgradients(s, U, ys)
+    return surrogate_values_and_subgradients(s, U, ys)
 
 
 def embedding_softmax_batch(
@@ -157,19 +130,10 @@ def embedding_softmax_batch(
         )
     q = softmax(logits)
     U = q @ rep_phi
-    vals, g_u = _surrogate_values_and_subgradients(s, U, ys)
+    vals, g_u = surrogate_values_and_subgradients(s, U, ys)
     proj = g_u @ rep_phi.T                      # (n, n_rep)
     grads = q * (proj - _rowsum(q * proj))
     return vals, grads
-
-
-def embedding_softmax_loss(
-    s: EmbeddingSurrogate, logits, y: int
-) -> tuple[float, np.ndarray]:
-    vals, grads = embedding_softmax_batch(
-        s, np.asarray(logits, dtype=float)[None, :], [y]
-    )
-    return float(vals[0]), grads[0]
 
 
 def weighted_hinge_batch(a: float, scale: float, U: np.ndarray, ys: np.ndarray):

@@ -89,7 +89,7 @@ def run_verify(
         for kind in LOSS_KINDS:
             loss = BoundLoss(LossSpec(kind, cost))
             for mkind, hidden in (("linear", ()), ("mlp", (16, 16))):
-                spec = ModelSpec(mkind, 2, loss.out_dim, hidden_dims=hidden or (16,),
+                spec = ModelSpec(mkind, 2, loss.out_dim, hidden_dims=hidden,
                                  init_seed=rng_seed + 1)
                 err = gradient_check(spec, loss, x, y, max_coords=60)
                 worst = max(worst, err)

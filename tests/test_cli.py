@@ -84,6 +84,17 @@ def test_run_bad_key_exits_2(tmp_path):
     assert "configuration error" in res.stderr
 
 
+def test_run_bad_workers_flag_exits_2(tiny_config, capsys):
+    # The error names the flag, not the [experiment] key the file never set.
+    for value in ("0", "-3", "two"):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(tiny_config), "--workers", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --workers" in err
+        assert "[experiment]" not in err
+
+
 def test_table_subcommand_round_trip(tiny_config, tmp_path):
     ran = run_cli(["run", str(tiny_config)], cwd=tmp_path)
     assert ran.returncode == 0, ran.stderr

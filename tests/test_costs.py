@@ -13,7 +13,6 @@ from costbench.costs import (
     binary_alpha_matrix,
     confusion,
     cost_sensitive_loss,
-    expected_cost,
     expected_costs,
     load_cost_matrix,
     save_cost_matrix,
@@ -64,24 +63,19 @@ def test_expected_cost_alpha_indifference():
     alpha = 0.25
     cost = binary_alpha_matrix(alpha)
     p = dist(1 - alpha, alpha)
-    assert expected_cost(cost, p, 0) == pytest.approx(alpha * (1 - alpha), abs=1e-15)
-    assert expected_cost(cost, p, 1) == pytest.approx(alpha * (1 - alpha), abs=1e-15)
+    assert expected_costs(cost, p)[0] == pytest.approx(alpha * (1 - alpha), abs=1e-15)
+    assert expected_costs(cost, p)[1] == pytest.approx(alpha * (1 - alpha), abs=1e-15)
 
 
 def test_expected_cost_point_mass_zero():
     for y in range(3):
         p = SimplexDist(np.eye(3)[y])
         r = int(np.argmin(STUDENT.entries[:, y]))
-        assert expected_cost(STUDENT, p, r) == 0.0
+        assert expected_costs(STUDENT, p)[r] == 0.0
 
 
 def test_expected_cost_student_uniform():
-    assert expected_cost(STUDENT, dist(1 / 3, 1 / 3, 1 / 3), 0) == pytest.approx(8 / 3)
-
-
-def test_expected_cost_index_error():
-    with pytest.raises(IndexError):
-        expected_cost(STUDENT, dist(1 / 3, 1 / 3, 1 / 3), 3)
+    assert expected_costs(STUDENT, dist(1 / 3, 1 / 3, 1 / 3))[0] == pytest.approx(8 / 3)
 
 
 # --- bayes-optimal reports and risk ---------------------------------------

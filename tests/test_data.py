@@ -5,14 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from costbench.costs import binary_alpha_matrix, bayes_optimal_reports
+from costbench.costs import SimplexDist, binary_alpha_matrix, bayes_optimal_reports
 from costbench.data import (
     SplitIndices,
     UCI_SPECS,
-    bayes_decision,
     bayes_decision_many,
     load_uci,
-    posterior,
     posterior_pos_many,
     sample_synthetic,
     subsample_and_split,
@@ -60,8 +58,8 @@ def test_synthetic_rejects_empty():
 
 
 def test_posterior_symmetry_at_zero():
-    p = posterior(np.array([0.0, 0.5]))
-    assert np.allclose(p.probs, [0.5, 0.5])
+    eta = posterior_pos_many(np.array([[0.0, 0.5]]))[0]
+    assert np.allclose([1.0 - eta, eta], [0.5, 0.5])
 
 
 def test_posterior_boundary_value():
@@ -70,8 +68,8 @@ def test_posterior_boundary_value():
     for alpha in (1 / 6, 1 / 4, 0.4):
         for x2 in (0.2, 0.7, 1.0):
             x1 = 0.5 * x2 * np.log(alpha / (1 - alpha))
-            p = posterior(np.array([x1, x2]))
-            assert p.probs[1] == pytest.approx(alpha, abs=1e-12)
+            eta = posterior_pos_many(np.array([[x1, x2]]))[0]
+            assert eta == pytest.approx(alpha, abs=1e-12)
 
 
 def test_posterior_closed_forms_agree(rng):
@@ -91,9 +89,9 @@ def test_posterior_closed_forms_agree(rng):
 
 def test_posterior_requires_positive_scale():
     with pytest.raises(ValueError):
-        posterior(np.array([0.0, 0.0]))
+        posterior_pos_many(np.array([[0.0, 0.0]]))
     with pytest.raises(ValueError):
-        posterior(np.array([0.0, -1.0]))
+        posterior_pos_many(np.array([[0.0, -1.0]]))
 
 
 # --- cost-optimal decisions ------------------------------------------------------
@@ -110,9 +108,11 @@ def test_bayes_decision_specific_point():
     # point sits below it, so the decision must be -1 and must agree with the
     # enumerated rule at the exact posterior.
     x = np.array([-0.5, 0.6])
-    got = bayes_decision(x, 1 / 6)
+    got = bayes_decision_many(x[None], 1 / 6)[0]
     assert got == -1
-    optimal = bayes_optimal_reports(binary_alpha_matrix(1 / 6), posterior(x))
+    eta = posterior_pos_many(x[None])[0]
+    optimal = bayes_optimal_reports(binary_alpha_matrix(1 / 6),
+                                    SimplexDist(np.array([1.0 - eta, eta])))
     assert (1 if got > 0 else 0) in optimal
 
 
@@ -120,7 +120,7 @@ def test_bayes_decision_boundary_tie_goes_positive():
     x2 = 0.8
     alpha = 1 / 4
     x1 = 0.5 * x2 * np.log(alpha / (1 - alpha))
-    assert bayes_decision(np.array([x1, x2]), alpha) == 1
+    assert bayes_decision_many(np.array([[x1, x2]]), alpha)[0] == 1
 
 
 def test_bayes_decision_agrees_with_enumeration_bulk():

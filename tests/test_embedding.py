@@ -23,13 +23,12 @@ from costbench.embedding import (
     _quotient_norm,
     build_embedding_surrogate,
     dist_to_optimal_set,
-    game_value,
-    link,
+    game_values,
     link_many,
     min_pairwise_gap,
     sample_predictions,
-    surrogate_subgradient,
-    surrogate_value,
+    surrogate_subgradients,
+    surrogate_values,
     verify_alpha_separation,
     verify_embedding,
 )
@@ -90,9 +89,9 @@ def test_embedded_points_are_negated_cost_rows():
 
 def test_value_matches_cost_at_embedded_points():
     s = build_embedding_surrogate(ALPHA_QUARTER)
-    assert surrogate_value(s, s.phi[1], 0) == pytest.approx(0.25, abs=1e-12)
-    assert surrogate_value(s, s.phi[1], 1) == pytest.approx(0.0, abs=1e-12)
-    assert surrogate_value(s, s.phi[0], 1) == pytest.approx(0.75, abs=1e-12)
+    assert surrogate_values(s, s.phi[1][None], [0])[0] == pytest.approx(0.25, abs=1e-12)
+    assert surrogate_values(s, s.phi[1][None], [1])[0] == pytest.approx(0.0, abs=1e-12)
+    assert surrogate_values(s, s.phi[0][None], [1])[0] == pytest.approx(0.75, abs=1e-12)
 
 
 def test_duplicate_rows_collapse_with_warning():
@@ -126,7 +125,7 @@ def test_zero_one_binary_reduces_to_hinge():
     # The scalar hinge carries the cost values at half scale (its costs are
     # the normalized alpha form); the generic construction carries them 1:1.
     for r, y in [(0, 0), (0, 1), (1, 0), (1, 1)]:
-        assert surrogate_value(s, s.phi[r], y) == pytest.approx(
+        assert surrogate_values(s, s.phi[r][None], [y])[0] == pytest.approx(
             2.0 * hinge_values(loss, HINGE_POINTS[r], y)[0], abs=1e-12
         )
 
@@ -136,7 +135,7 @@ def test_binary_alpha_hinge_values_match_at_embedded_points():
         s = build_embedding_surrogate(binary_alpha_matrix(alpha))
         loss = hinge(alpha)
         for r, y in [(0, 0), (0, 1), (1, 0), (1, 1)]:
-            assert surrogate_value(s, s.phi[r], y) == pytest.approx(
+            assert surrogate_values(s, s.phi[r][None], [y])[0] == pytest.approx(
                 hinge_values(loss, HINGE_POINTS[r], y)[0], abs=1e-12
             )
 
@@ -156,25 +155,25 @@ def test_binary_alpha_reparameterized_links_agree():
 def test_game_value_zero_at_embedded_points(surrogates):
     for s in surrogates.values():
         for r in s.representative_set:
-            sol = game_value(s, s.phi[r])
-            assert abs(sol.value) < 1e-10
-            assert r in bayes_optimal_reports(s.cost, sol.witness)
+            vals, idx = game_values(s, s.phi[r][None])
+            assert abs(vals[0]) < 1e-10
+            assert r in bayes_optimal_reports(s.cost, SimplexDist(s.verts_p[idx[0]]))
 
 
 def test_game_value_at_origin_binary():
     alpha = 0.25
     s = build_embedding_surrogate(binary_alpha_matrix(alpha))
-    sol = game_value(s, np.zeros(2))
-    assert sol.value == pytest.approx(alpha * (1 - alpha), abs=1e-12)
-    assert np.allclose(sol.witness.probs, [1 - alpha, alpha])
+    vals, idx = game_values(s, np.zeros((1, 2)))
+    assert vals[0] == pytest.approx(alpha * (1 - alpha), abs=1e-12)
+    assert np.allclose(s.verts_p[idx[0]], [1 - alpha, alpha])
 
 
 def test_game_value_shift_covariance(surrogates, rng):
     for s in surrogates.values():
         u = rng.normal(size=s.n_labels)
         c = 1.7
-        a = game_value(s, u).value
-        b = game_value(s, u + c).value
+        a = game_values(s, u[None])[0][0]
+        b = game_values(s, (u + c)[None])[0][0]
         assert b - a == pytest.approx(c, abs=1e-10)
 
 
@@ -184,7 +183,7 @@ def test_game_value_matches_grid_oracle(surrogates, rng):
         lip = np.abs(s.cost.entries).max()
         for _ in range(5):
             u = rng.uniform(-3, 3, size=s.n_labels)
-            exact = game_value(s, u).value
+            exact = game_values(s, u[None])[0][0]
             approx = grid_game_oracle(s.cost, u, res)
             assert exact >= approx - 1e-9
             assert exact <= approx + 2 * (np.abs(u).max() + lip) * res
@@ -193,15 +192,10 @@ def test_game_value_matches_grid_oracle(surrogates, rng):
 def test_game_witness_invariant(surrogates, rng):
     for s in surrogates.values():
         u = rng.normal(size=s.n_labels) * 2
-        sol = game_value(s, u)
-        recon = float(sol.witness.probs @ u) + bayes_risk(s.cost, sol.witness)
-        assert sol.value == pytest.approx(recon, abs=1e-10)
-
-
-def test_game_value_rejects_non_finite(surrogates):
-    s = next(iter(surrogates.values()))
-    with pytest.raises(ValueError):
-        game_value(s, np.array([np.nan] * s.n_labels))
+        vals, idx = game_values(s, u[None])
+        witness = SimplexDist(s.verts_p[idx[0]])
+        recon = float(witness.probs @ u) + bayes_risk(s.cost, witness)
+        assert vals[0] == pytest.approx(recon, abs=1e-10)
 
 
 # --- surrogate value and subgradients ---------------------------------------
@@ -212,7 +206,8 @@ def test_surrogate_shift_invariance(surrogates, rng):
         u = rng.normal(size=s.n_labels)
         for y in range(s.n_labels):
             assert abs(
-                surrogate_value(s, u + 5.0, y) - surrogate_value(s, u, y)
+                surrogate_values(s, (u + 5.0)[None], [y])[0]
+                - surrogate_values(s, u[None], [y])[0]
             ) <= 1e-10
 
 
@@ -224,8 +219,9 @@ def test_surrogate_convexity(mat_idx, seed, lam):
     rng = np.random.default_rng(seed)
     u, v = rng.normal(size=(2, s.n_labels)) * 3
     for y in range(s.n_labels):
-        mid = surrogate_value(s, lam * u + (1 - lam) * v, y)
-        avg = lam * surrogate_value(s, u, y) + (1 - lam) * surrogate_value(s, v, y)
+        mid = surrogate_values(s, (lam * u + (1 - lam) * v)[None], [y])[0]
+        avg = (lam * surrogate_values(s, u[None], [y])[0]
+               + (1 - lam) * surrogate_values(s, v[None], [y])[0])
         assert mid <= avg + 1e-10
 
 
@@ -233,7 +229,7 @@ def test_surrogate_nonnegative(surrogates, rng):
     for s in surrogates.values():
         U = sample_predictions(s, 500, rng)
         for y in range(s.n_labels):
-            vals = np.array([surrogate_value(s, u, y) for u in U[:50]])
+            vals = surrogate_values(s, U[:50], np.full(50, y))
             assert (vals >= -1e-10).all()
 
 
@@ -244,9 +240,9 @@ def test_subgradient_inequality(surrogates, rng):
             u = rng.normal(size=s.n_labels) * 2
             v = rng.normal(size=s.n_labels) * 2
             for y in range(s.n_labels):
-                g = surrogate_subgradient(s, u, y)
-                lhs = surrogate_value(s, v, y)
-                rhs = surrogate_value(s, u, y) + g @ (v - u)
+                g = surrogate_subgradients(s, u[None], [y])[0]
+                lhs = surrogate_values(s, v[None], [y])[0]
+                rhs = surrogate_values(s, u[None], [y])[0] + g @ (v - u)
                 assert lhs >= rhs - 1e-9
 
 
@@ -261,13 +257,12 @@ def test_subgradient_finite_difference(surrogates, rng):
             if top[1] - top[0] < 1e-4:  # skip kinks
                 continue
             y = int(rng.integers(s.n_labels))
-            g = surrogate_subgradient(s, u, y)
+            g = surrogate_subgradients(s, u[None], [y])[0]
             for i in range(s.n_labels):
                 e = np.zeros(s.n_labels)
                 e[i] = h
-                fd = (surrogate_value(s, u + e, y) - surrogate_value(s, u - e, y)) / (
-                    2 * h
-                )
+                fd = (surrogate_values(s, (u + e)[None], [y])[0]
+                      - surrogate_values(s, (u - e)[None], [y])[0]) / (2 * h)
                 assert fd == pytest.approx(g[i], rel=1e-5, abs=1e-7)
             checked += 1
 
@@ -277,9 +272,9 @@ def test_subgradient_vertex_form():
     # the subgradient is that point mass minus the label indicator.
     alpha = 1 / 6
     s = build_embedding_surrogate(binary_alpha_matrix(alpha))
-    g = surrogate_subgradient(s, np.array([0.0, -10.0]), 0)
+    g = surrogate_subgradients(s, np.array([[0.0, -10.0]]), [0])[0]
     assert np.allclose(g, [0.0, 0.0])
-    g2 = surrogate_subgradient(s, np.array([0.0, -10.0]), 1)
+    g2 = surrogate_subgradients(s, np.array([[0.0, -10.0]]), [1])[0]
     assert np.allclose(g2, [1.0, -1.0])
 
 
@@ -287,9 +282,9 @@ def test_subgradient_stationarity_at_witness(surrogates, rng):
     # Sum_y p*_y grad(u, y) = p* - p* = 0 at the witness distribution.
     for s in surrogates.values():
         u = rng.normal(size=s.n_labels)
-        sol = game_value(s, u)
+        _, idx = game_values(s, u[None])
         total = sum(
-            sol.witness.probs[y] * surrogate_subgradient(s, u, y)
+            s.verts_p[idx[0], y] * surrogate_subgradients(s, u[None], [y])[0]
             for y in range(s.n_labels)
         )
         assert np.allclose(total, 0.0, atol=1e-12)
@@ -301,14 +296,14 @@ def test_subgradient_stationarity_at_witness(surrogates, rng):
 def test_link_maps_embedded_points_to_reports(surrogates):
     for s in surrogates.values():
         for r in s.representative_set:
-            assert link(s, s.phi[r]) == r
+            assert link_many(s, s.phi[r][None])[0] == r
 
 
 def test_link_nearest_point_binary():
     s = build_embedding_surrogate(binary_alpha_matrix(1 / 6))
     # Strictly nearer phi(+1) in the shift-invariant metric.
     u = s.phi[1] + 0.01
-    assert link(s, u) == 1
+    assert link_many(s, u[None])[0] == 1
     d0 = _quotient_norm(u - s.phi[0])
     d1 = _quotient_norm(u - s.phi[1])
     assert d1 < d0
@@ -321,7 +316,7 @@ def test_link_tie_breaks_low(surrogates):
         d0 = _quotient_norm(mid - s.phi[reps[0]])
         d1 = _quotient_norm(mid - s.phi[reps[1]])
         if abs(d0 - d1) < 1e-15 and link_many(s, mid[None, :])[0] in reps[:2]:
-            assert link(s, mid) == min(reps[0], reps[1])
+            assert link_many(s, mid[None])[0] == min(reps[0], reps[1])
 
 
 def test_link_shift_invariant(surrogates, rng):

@@ -158,6 +158,8 @@ def test_config_rejects_loss_the_matrix_cannot_take(tmp_path, capsys):
     with pytest.raises(ConfigError, match="losses: weighted_hinge cannot train on"):
         ExperimentConfig(dataset="german_credit_deferral",
                          losses=("cross_entropy", "weighted_hinge"))
+    with pytest.raises(ConfigError, match="losses: cross_entropy_post cannot train on"):
+        ExperimentConfig(dataset="german_credit_deferral", losses=("cross_entropy_post",))
     with pytest.raises(ConfigError, match="zero-diagonal 2x2"):
         ExperimentConfig(dataset="student_performance", losses=("weighted_hinge",))
     ExperimentConfig(dataset="german_credit", losses=("weighted_hinge",))

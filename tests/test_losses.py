@@ -16,7 +16,6 @@ from costbench.costs import (
 from costbench.embedding import (
     build_embedding_surrogate,
     surrogate_subgradients,
-    surrogate_value,
     surrogate_values,
 )
 from costbench.losses import (
@@ -25,13 +24,12 @@ from costbench.losses import (
     LossSpec,
     NonFiniteScores,
     class_weights,
-    cross_entropy,
+    cross_entropy_batch,
     embedding_raw_batch,
     embedding_softmax_batch,
-    embedding_softmax_loss,
     log_softmax,
     postprocess_search,
-    scaled_cross_entropy,
+    scaled_cross_entropy_batch,
     softmax,
 )
 
@@ -100,12 +98,12 @@ def test_softmax_kernels_other_ranks(shape, rng):
 
 def test_ce_uniform_scores():
     for k in (2, 3, 5):
-        v, _ = cross_entropy(np.zeros(k), 0)
+        (v,), _ = cross_entropy_batch(np.zeros((1, k)), [0])
         assert v == pytest.approx(np.log(k), abs=1e-12)
 
 
 def test_ce_huge_scores_stable():
-    v, g = cross_entropy(np.array([1000.0, 0.0]), 0)
+    (v,), (g,) = cross_entropy_batch(np.array([[1000.0, 0.0]]), [0])
     assert np.isfinite(v) and abs(v) < 1e-12
     assert np.all(np.isfinite(g))
 
@@ -114,15 +112,15 @@ def test_ce_rejects_non_finite():
     # A ValueError subclass, so the CLI still exits 2 on non-finite input.
     assert issubclass(NonFiniteScores, ValueError)
     with pytest.raises(NonFiniteScores):
-        cross_entropy(np.array([np.inf, 0.0]), 0)
+        cross_entropy_batch(np.array([[np.inf, 0.0]]), [0])
 
 
 def test_ce_gradient_finite_difference(rng):
     for _ in range(100):
         s = rng.normal(size=4) * 3
         y = int(rng.integers(4))
-        _, g = cross_entropy(s, y)
-        fd = finite_diff(lambda u: cross_entropy(u, y)[0], s)
+        _, (g,) = cross_entropy_batch(s[None], [y])
+        fd = finite_diff(lambda u: cross_entropy_batch(u[None], [y])[0][0], s)
         assert np.allclose(g, fd, rtol=1e-6, atol=1e-8)
 
 
@@ -134,8 +132,9 @@ def test_ce_strictly_convex_midpoint(seed):
     if np.ptp(a - b) < 1e-6:  # constant direction: CE is flat there
         return
     y = int(rng.integers(3))
-    mid = cross_entropy((a + b) / 2, y)[0]
-    avg = 0.5 * cross_entropy(a, y)[0] + 0.5 * cross_entropy(b, y)[0]
+    mid = cross_entropy_batch(((a + b) / 2)[None], [y])[0][0]
+    avg = (0.5 * cross_entropy_batch(a[None], [y])[0][0]
+           + 0.5 * cross_entropy_batch(b[None], [y])[0][0])
     assert mid < avg + 1e-12
 
 
@@ -156,22 +155,23 @@ def test_class_weights_zero_one_gives_plain_ce(rng):
     w = class_weights(cost)
     assert np.allclose(w, [0.5, 0.5])
     s = rng.normal(size=2)
-    plain, _ = cross_entropy(s, 1)
-    scaled, _ = scaled_cross_entropy(cost, s, 1)
+    (plain,), _ = cross_entropy_batch(s[None], [1])
+    (scaled,), _ = scaled_cross_entropy_batch(w, s[None], [1])
     assert scaled == pytest.approx(0.5 * plain)
 
 
 def test_scaled_ce_severity_value():
-    v, _ = scaled_cross_entropy(STUDENT, np.zeros(3), 2)
+    (v,), _ = scaled_cross_entropy_batch(class_weights(STUDENT), np.zeros((1, 3)), [2])
     assert v == pytest.approx((8 / 3) * np.log(3), abs=1e-12)
 
 
 def test_scaled_ce_gradient_finite_difference(rng):
+    w = class_weights(STUDENT)
     for _ in range(100):
         s = rng.normal(size=3) * 2
         y = int(rng.integers(3))
-        _, g = scaled_cross_entropy(STUDENT, s, y)
-        fd = finite_diff(lambda u: scaled_cross_entropy(STUDENT, u, y)[0], s)
+        _, (g,) = scaled_cross_entropy_batch(w, s[None], [y])
+        fd = finite_diff(lambda u: scaled_cross_entropy_batch(w, u[None], [y])[0][0], s)
         assert np.allclose(g, fd, rtol=1e-6, atol=1e-8)
 
 
@@ -189,7 +189,7 @@ def test_embedding_softmax_saturated(student_surrogate):
         logits = np.full(3, -40.0)
         logits[r] = 40.0
         for y in range(3):
-            v, _ = embedding_softmax_loss(s, logits, y)
+            (v,), _ = embedding_softmax_batch(s, logits[None], [y])
             assert v == pytest.approx(STUDENT.entries[r, y], abs=1e-8)
 
 
@@ -198,8 +198,8 @@ def test_embedding_softmax_uniform_binary():
     logits = np.zeros(2)
     u = srg.phi.mean(axis=0)
     for y in (0, 1):
-        v, _ = embedding_softmax_loss(srg, logits, y)
-        assert v == pytest.approx(surrogate_value(srg, u, y), abs=1e-12)
+        (v,), _ = embedding_softmax_batch(srg, logits[None], [y])
+        assert v == pytest.approx(surrogate_values(srg, u[None], [y])[0], abs=1e-12)
 
 
 def test_embedding_softmax_gradient_finite_difference(student_surrogate, rng):
@@ -213,15 +213,15 @@ def test_embedding_softmax_gradient_finite_difference(student_surrogate, rng):
         top = np.sort(scores)[-2:]
         if top[1] - top[0] < 1e-4:
             continue
-        _, g = embedding_softmax_loss(s, logits, y)
-        fd = finite_diff(lambda t: embedding_softmax_loss(s, t, y)[0], logits)
+        _, (g,) = embedding_softmax_batch(s, logits[None], [y])
+        fd = finite_diff(lambda t: embedding_softmax_batch(s, t[None], [y])[0][0], logits)
         assert np.allclose(g, fd, rtol=1e-5, atol=1e-7)
         checked += 1
 
 
 def test_embedding_softmax_wrong_width(student_surrogate):
     with pytest.raises(ValueError):
-        embedding_softmax_loss(student_surrogate, np.zeros(4), 0)
+        embedding_softmax_batch(student_surrogate, np.zeros((1, 4)), [0])
 
 
 @pytest.mark.parametrize("name", ["student", "alpha6", "synthetic", "german",
