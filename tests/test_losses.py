@@ -15,6 +15,7 @@ from costbench.costs import (
 )
 from costbench.embedding import (
     build_embedding_surrogate,
+    game_values,
     surrogate_subgradients,
     surrogate_values,
 )
@@ -242,8 +243,11 @@ def test_fused_embedding_batches_match_separate_calls(name, rng):
     U = np.vstack([rng.normal(scale=2.0, size=(200, phi.shape[1])), phi, mids])
     ys = rng.integers(0, s.n_labels, len(U))
     vals, grads = embedding_raw_batch(s, U, ys)
-    assert np.array_equal(vals, surrogate_values(s, U, ys))
-    assert np.array_equal(grads, surrogate_subgradients(s, U, ys))
+    # surrogate_values shares the code under test, so the reference is the
+    # formula itself: G(u) - u_y, and the maximizing vertex minus e_y.
+    G, idx = game_values(s, U)
+    assert np.array_equal(vals, G - U[np.arange(len(U)), ys])
+    assert np.array_equal(grads, s.verts_p[idx] - np.eye(s.n_labels)[ys])
 
     rep_phi = s.phi[list(s.representative_set)]
     logits = np.vstack([rng.normal(scale=3.0, size=(200, len(rep_phi))),
