@@ -15,7 +15,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from costbench.data import UCI_SPECS, data_dir
+from costbench.data import UCI_SPECS
 
 # Direct download endpoints; each yields the raw file (possibly inside a zip).
 DOWNLOADS = {
@@ -37,7 +37,7 @@ DOWNLOADS = {
 def fetch(name: str) -> bool:
     spec = UCI_SPECS[name]
     url, inner = DOWNLOADS[name]
-    target = data_dir() / spec.dirname / spec.filename
+    target = spec.raw_path()
     if target.exists():
         print(f"{name}: {target} already present")
         return True

@@ -7,12 +7,15 @@ full_data or --preset mlp to run the ablation variants instead.
 """
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from costbench.data import UCI_SPECS, data_dir
+from costbench.cli import suffixed, worker_count
+from costbench.data import UCI_SPECS
 from costbench.harness import (
+    ABLATION_PRESETS,
     aggregate,
     apply_preset,
     emit_table,
@@ -26,28 +29,28 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 def main() -> int:
     parser = argparse.ArgumentParser()
-    parser.add_argument("--preset", choices=("full_data", "mlp"), default=None)
-    parser.add_argument("--workers", type=int, default=2)
+    parser.add_argument("--preset", choices=ABLATION_PRESETS, default=None)
+    parser.add_argument("--workers", type=worker_count, default=2)
     args = parser.parse_args()
 
     status = 0
     for cfg_path in sorted(CONFIG_DIR.glob("*.cfg")):
         cfg = parse_config(cfg_path)
         if cfg.dataset != "synthetic":
-            spec = UCI_SPECS[cfg.dataset]
-            raw = data_dir() / spec.dirname / spec.filename
+            raw = UCI_SPECS[cfg.dataset].raw_path()
             if not raw.exists():
                 print(f"SKIP {cfg.dataset}: {raw} missing (fetch_uci.py)")
                 continue
+        rows_csv, table_path = cfg.rows_csv, cfg.table_path
         if args.preset:
             cfg = apply_preset(cfg, args.preset)
-        from dataclasses import replace
-
+            rows_csv = suffixed(rows_csv, args.preset)
+            table_path = suffixed(table_path, args.preset)
         cfg = replace(cfg, workers=args.workers)
         print(f"RUN {cfg.dataset}: {cfg.n_seeds} seeds x {len(cfg.losses)} losses")
         rows = run_experiment(cfg)
-        write_rows_csv(rows, cfg.rows_csv)
-        print(emit_table(aggregate(rows), cfg.table_format, cfg.table_path))
+        write_rows_csv(rows, rows_csv)
+        print(emit_table(aggregate(rows), cfg.table_format, table_path))
         failed = [r for r in rows if r.failed]
         if failed:
             status = 1

@@ -49,15 +49,17 @@ def _cmd_run(args) -> int:
     return _report(run_experiment(cfg), cfg.table_format, cfg.rows_csv, cfg.table_path)
 
 
+def suffixed(name, preset: str) -> Path:
+    """Where a preset run writes an output the config names: <stem>_<preset><suffix>."""
+    path = Path(name)
+    return path.with_name(f"{path.stem}_{preset}{path.suffix}")
+
+
 def _cmd_ablate(args) -> int:
     cfg = apply_preset(parse_config(args.config), args.preset)
-
-    def suffixed(name):
-        path = Path(name)
-        return path.with_name(f"{path.stem}_{args.preset}{path.suffix}")
-
     return _report(run_experiment(cfg), cfg.table_format,
-                   suffixed(cfg.rows_csv), suffixed(cfg.table_path))
+                   suffixed(cfg.rows_csv, args.preset),
+                   suffixed(cfg.table_path, args.preset))
 
 
 def _cmd_verify(args) -> int:

@@ -2,8 +2,7 @@
 
 Conventions: a cost matrix has one row per report r (the decision) and one
 column per label y (the outcome); entry (r, y) is the nonnegative cost of
-deciding r when the truth is y. Reports and labels are 0-based indices;
-display names are metadata only.
+deciding r when the truth is y. Reports and labels are 0-based indices.
 """
 from __future__ import annotations
 
@@ -31,8 +30,6 @@ class CostMatrix:
     """Dense reports x labels matrix of nonnegative, finite costs."""
 
     entries: np.ndarray
-    report_names: tuple[str, ...] = ()
-    label_names: tuple[str, ...] = ()
 
     def __post_init__(self):
         e = _readonly(self.entries)
@@ -45,16 +42,6 @@ class CostMatrix:
         if np.any(e < 0):
             raise ValueError("cost matrix entries must be nonnegative")
         object.__setattr__(self, "entries", e)
-        if not self.report_names:
-            object.__setattr__(
-                self, "report_names", tuple(f"r{i}" for i in range(e.shape[0]))
-            )
-        if not self.label_names:
-            object.__setattr__(
-                self, "label_names", tuple(f"y{i}" for i in range(e.shape[1]))
-            )
-        if len(self.report_names) != e.shape[0] or len(self.label_names) != e.shape[1]:
-            raise ValueError("name tuples must match matrix shape")
 
     @property
     def n_reports(self) -> int:
@@ -71,7 +58,7 @@ class CostMatrix:
     def scaled(self, factor: float) -> "CostMatrix":
         if factor <= 0:
             raise ValueError("scale factor must be positive")
-        return CostMatrix(self.entries * factor, self.report_names, self.label_names)
+        return CostMatrix(self.entries * factor)
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,8 +206,7 @@ def binary_alpha_matrix(alpha: float) -> CostMatrix:
     """Binary matrix where a false positive costs alpha and a false negative 1 - alpha."""
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie strictly between 0 and 1")
-    entries = [[0.0, 1.0 - alpha], [alpha, 0.0]]
-    return CostMatrix(entries, ("pred -1", "pred +1"), ("-1", "+1"))
+    return CostMatrix([[0.0, 1.0 - alpha], [alpha, 0.0]])
 
 
 def synthetic_cost_matrix(alpha: float) -> CostMatrix:
@@ -235,9 +221,7 @@ def synthetic_cost_matrix(alpha: float) -> CostMatrix:
     fn_cost = (1.0 - alpha) / alpha
     if abs(fn_cost - round(fn_cost)) < 1e-9:
         fn_cost = float(round(fn_cost))
-    return CostMatrix(
-        [[0.0, fn_cost], [1.0, 0.0]], ("pred -1", "pred +1"), ("-1", "+1")
-    )
+    return CostMatrix([[0.0, fn_cost], [1.0, 0.0]])
 
 
 def zero_one_matrix(n_classes: int) -> CostMatrix:
@@ -248,19 +232,16 @@ def zero_one_matrix(n_classes: int) -> CostMatrix:
 
 
 def german_credit_matrix() -> CostMatrix:
-    """Asymmetric lending costs: accepting a bad risk costs 5, rejecting a good one 1."""
-    return CostMatrix(
-        [[0.0, 5.0], [1.0, 0.0]], ("pred good", "pred bad"), ("good", "bad")
-    )
+    """Asymmetric lending costs: accepting a bad risk costs 5, rejecting a good one 1.
+
+    Reports are accept (0) and reject (1); labels are good (0) and bad (1).
+    """
+    return CostMatrix([[0.0, 5.0], [1.0, 0.0]])
 
 
 def german_credit_deferral_matrix() -> CostMatrix:
     """Lending costs with a third report that defers at a flat cost of 1/2."""
-    return CostMatrix(
-        [[0.0, 5.0], [1.0, 0.0], [0.5, 0.5]],
-        ("pred good", "pred bad", "defer"),
-        ("good", "bad"),
-    )
+    return CostMatrix([[0.0, 5.0], [1.0, 0.0], [0.5, 0.5]])
 
 
 def severity_three_class_matrix() -> CostMatrix:

@@ -142,71 +142,60 @@ def bayes_decision_many(x: np.ndarray, alpha: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class UciSpec:
-    name: str
     dirname: str
     filename: str
     delimiter: str | None  # None = any whitespace
-    has_header: bool
-    label_column: str | int  # header name, or index when headerless
+    label_column: str | int  # header name (the file has a header), or headerless index
     label_values: tuple[str, ...] | None  # ordered raw values; None = numeric codes
-    cost_factory: object
+    cost_factory: object  # its matrix's n_labels is the number of classes
     url: str
     expected_rows: int
-    n_classes: int
+
+    def raw_path(self) -> Path:
+        """The raw file under data_dir(), which reads the environment on each call."""
+        return data_dir() / self.dirname / self.filename
 
 
 UCI_SPECS: dict[str, UciSpec] = {
     "german_credit": UciSpec(
-        name="german_credit",
         dirname="german_credit",
         filename="raw.data",
         delimiter=None,
-        has_header=False,
         label_column=-1,
         label_values=("1", "2"),  # 1 = good risk -> 0, 2 = bad risk -> 1
         cost_factory=german_credit_matrix,
         url="https://archive.ics.uci.edu/dataset/144/statlog+german+credit+data",
         expected_rows=1000,
-        n_classes=2,
     ),
     "german_credit_deferral": UciSpec(
-        name="german_credit_deferral",
         dirname="german_credit",  # same raw file, extra defer report in the costs
         filename="raw.data",
         delimiter=None,
-        has_header=False,
         label_column=-1,
         label_values=("1", "2"),
         cost_factory=german_credit_deferral_matrix,
         url="https://archive.ics.uci.edu/dataset/144/statlog+german+credit+data",
         expected_rows=1000,
-        n_classes=2,
     ),
     "student_performance": UciSpec(
-        name="student_performance",
         dirname="student_performance",
         filename="raw.csv",
         delimiter=";",
-        has_header=True,
         label_column="Target",
         label_values=("Dropout", "Enrolled", "Graduate"),
         cost_factory=severity_three_class_matrix,
         url="https://archive.ics.uci.edu/dataset/697/predict+students+dropout+and+academic+success",
         expected_rows=4424,
-        n_classes=3,
     ),
     "diabetes": UciSpec(
-        name="diabetes",
         dirname="diabetes",
         filename="raw.csv",
         delimiter=",",
-        has_header=True,
         label_column="Diabetes_012",
         label_values=None,  # 0 = none, 1 = pre-diabetic, 2 = diabetic
         cost_factory=severity_three_class_matrix,
         url="https://archive.ics.uci.edu/dataset/891/cdc+diabetes+health+indicators",
         expected_rows=253680,
-        n_classes=3,
     ),
 }
 
@@ -225,7 +214,7 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _check_manifest(spec: UciSpec, raw_path: Path) -> None:
+def _check_manifest(name: str, raw_path: Path) -> None:
     digest = _sha256(raw_path)
     manifest = raw_path.parent / "manifest"
     if manifest.exists():
@@ -237,7 +226,7 @@ def _check_manifest(spec: UciSpec, raw_path: Path) -> None:
         want = recorded.get("sha256")
         if want and want != digest:
             warnings.warn(
-                f"{spec.name}: raw file hash {digest[:12]}... does not match "
+                f"{name}: raw file hash {digest[:12]}... does not match "
                 f"manifest {want[:12]}...; proceeding with the file on disk"
             )
 
@@ -251,7 +240,7 @@ def _parse_delimited(text: str, spec: UciSpec) -> tuple[list[str] | None, list[l
             continue
         toks = line.split(spec.delimiter) if spec.delimiter else line.split()
         toks = [t.strip().strip('"') for t in toks]
-        if header is None and spec.has_header:
+        if header is None and isinstance(spec.label_column, str):
             header = toks
             continue
         rows.append(toks)
@@ -269,7 +258,7 @@ def load_uci(name: str) -> Dataset:
     if name not in UCI_SPECS:
         raise ValueError(f"unknown dataset {name!r}; one of {sorted(UCI_SPECS)}")
     spec = UCI_SPECS[name]
-    raw_path = data_dir() / spec.dirname / spec.filename
+    raw_path = spec.raw_path()
     if not raw_path.exists():
         raise FileNotFoundError(
             f"{name}: raw file {raw_path} not found; fetch it from {spec.url} "
@@ -279,7 +268,7 @@ def load_uci(name: str) -> Dataset:
     memo_key = (name, str(raw_path), stat.st_mtime_ns, stat.st_size)
     if memo_key in _LOAD_MEMO:
         return _LOAD_MEMO[memo_key]
-    _check_manifest(spec, raw_path)
+    _check_manifest(name, raw_path)
 
     header, rows = _parse_delimited(raw_path.read_text(), spec)
     if not rows:
@@ -316,12 +305,13 @@ def load_uci(name: str) -> Dataset:
             codes.append(int(code))
         label_map = {str(c): c for c in sorted(set(codes))}
         labels = np.array(codes, dtype=int)
-    if len(label_map) != spec.n_classes:
+    n_classes = spec.cost_factory().n_labels
+    if len(label_map) != n_classes:
         raise ValueError(
-            f"{name}: found {len(label_map)} classes, expected {spec.n_classes}"
+            f"{name}: found {len(label_map)} classes, expected {n_classes}"
         )
-    if sorted(label_map.values()) != list(range(spec.n_classes)):
-        raise ValueError(f"{name}: label codes must be 0..{spec.n_classes - 1}, "
+    if sorted(label_map.values()) != list(range(n_classes)):
+        raise ValueError(f"{name}: label codes must be 0..{n_classes - 1}, "
                          f"got {sorted(label_map.values())}")
 
     blocks = []
@@ -351,7 +341,12 @@ def load_uci(name: str) -> Dataset:
     return ds
 
 
-def split_sizes(n: int, fractions: tuple[float, float, float]) -> tuple[int, int, int]:
+SPLIT_FRACTIONS = (0.6, 0.2, 0.2)  # train, validation, test
+
+
+def split_sizes(
+    n: int, fractions: tuple[float, float, float] = SPLIT_FRACTIONS
+) -> tuple[int, int, int]:
     """Train, validation and test sizes of an n-row split under fractions."""
     n_train = int(round(fractions[0] * n))
     n_val = min(int(round(fractions[1] * n)), n - n_train)
@@ -361,7 +356,7 @@ def split_sizes(n: int, fractions: tuple[float, float, float]) -> tuple[int, int
 def subsample_and_split(
     ds: Dataset,
     n: int,
-    fractions: tuple[float, float, float] = (0.6, 0.2, 0.2),
+    fractions: tuple[float, float, float] = SPLIT_FRACTIONS,
     seed: int = 0,
 ) -> SplitIndices:
     """Seed-deterministic subsample of n rows, then a train/val/test split."""

@@ -325,28 +325,27 @@ def verify_embedding(s: EmbeddingSurrogate, grid_res: float = 0.01) -> Violation
     rows = s.cost.entries
     violations: list[Violation] = []
 
-    # Condition (i), exact at embedded points.
-    g_phi, _ = game_values(s, s.phi)
-    n_checked = 0
-    for r in s.representative_set:
-        for y in range(s.n_labels):
-            n_checked += 1
-            got = g_phi[r] - s.phi[r, y]
-            want = rows[r, y]
-            if abs(got - want) > 1e-9:
-                violations.append(
-                    Violation(
-                        kind="value-mismatch",
-                        p=None,
-                        report=r,
-                        u=tuple(s.phi[r]),
-                        quantity=float(got - want),
-                        threshold=1e-9,
-                        detail=f"L(phi({r}), {y}) != cost({r}, {y})",
-                    )
-                )
+    # Condition (i), exact at embedded points: one row per (r, y), r-major.
+    reps, k = list(s.representative_set), s.n_labels
+    err = surrogate_values(s, np.repeat(s.phi[reps], k, axis=0),
+                           np.tile(np.arange(k), len(reps))) - rows[reps].ravel()
+    n_checked = err.size
+    for i in np.flatnonzero(np.abs(err) > 1e-9):
+        r, y = reps[i // k], i % k
+        violations.append(
+            Violation(
+                kind="value-mismatch",
+                p=None,
+                report=r,
+                u=tuple(s.phi[r]),
+                quantity=float(err[i]),
+                threshold=1e-9,
+                detail=f"L(phi({r}), {y}) != cost({r}, {y})",
+            )
+        )
 
     # Condition (ii) on the grid. E_p L(phi(r), .) = G(phi(r)) - <p, phi(r)>.
+    g_phi, _ = game_values(s, s.phi)
     grid = simplex_grid(s.n_labels, grid_res)
     report_costs = grid @ rows.T                      # (n_p, m)
     lbar = report_costs.min(axis=1)

@@ -24,14 +24,7 @@ from . import data as data_mod
 from .costs import CostMatrix, confusion, cost_sensitive_loss, synthetic_cost_matrix
 from .diagnostics import boundary_slope
 from .losses import LOSS_KINDS, BoundLoss, LossSpec, postprocess_search
-from .models import (
-    DEFAULT_HIDDEN_DIMS,
-    ModelSpec,
-    TrainConfig,
-    TrainingDiverged,
-    evaluate,
-    train,
-)
+from .models import ModelSpec, TrainConfig, TrainingDiverged, evaluate, train
 from .seeding import mix_seed
 
 DATASET_NAMES = ("synthetic", *data_mod.UCI_SPECS)
@@ -60,14 +53,13 @@ class ExperimentConfig:
         "scaled_cross_entropy",
     )
     model_kind: str = "linear"
-    hidden_dims: tuple[int, ...] = DEFAULT_HIDDEN_DIMS
+    hidden_dims: tuple[int, ...] = (100, 100, 100, 100)  # mlp only
     learning_rate: float | None = None  # None = per-model default
     n_epochs: int = 10000
     selection: str = "val_loss"         # or "val_csl"
     n_seeds: int = 20
     master_seed: int = 0
     postprocess_candidates: int = 100
-    fractions: tuple[float, float, float] = (0.6, 0.2, 0.2)
     workers: int = 1
     rows_csv: str = "results/rows.csv"
     table_path: str = "results/table.md"
@@ -85,9 +77,9 @@ class ExperimentConfig:
             raise ConfigError("n_seeds must be >= 1")
         if self.workers < 1:
             raise ConfigError(f"[experiment] workers must be >= 1, got {self.workers!r}")
-        if min(sizes := data_mod.split_sizes(self.n_samples, self.fractions)) < 1:
+        if min(sizes := data_mod.split_sizes(self.n_samples)) < 1:
             raise ConfigError(f"[experiment] n_samples = {self.n_samples} leaves a split "
-                              f"empty under fractions {self.fractions}: {sizes}")
+                              f"empty under fractions {data_mod.SPLIT_FRACTIONS}: {sizes}")
         if not self.losses:
             raise ConfigError("losses must name at least one loss")
         for label in self.losses:
@@ -280,7 +272,7 @@ def load_dataset(cfg: ExperimentConfig, split_seed: int):
     else:
         ds = data_mod.load_uci(cfg.dataset)
     cost = _dataset_cost_matrix(cfg.dataset, cfg.alpha)
-    splits = data_mod.subsample_and_split(ds, cfg.n_samples, cfg.fractions, seed=split_seed)
+    splits = data_mod.subsample_and_split(ds, cfg.n_samples, seed=split_seed)
     return ds, cost, splits
 
 
@@ -309,10 +301,9 @@ def run_cell(cfg: ExperimentConfig, label: str, seed_index: int) -> ResultRow:
         te = data_mod.split_xy(ds, splits.test)
         loss = make_loss(label, cost)
         spec = ModelSpec(
-            kind=cfg.model_kind,
             in_dim=ds.n_features,
             out_dim=loss.out_dim,
-            hidden_dims=cfg.hidden_dims,
+            hidden_dims=cfg.hidden_dims if cfg.model_kind == "mlp" else (),
             init_seed=cell_seed,
         )
         tcfg = TrainConfig(learning_rate=cfg.effective_learning_rate, n_epochs=cfg.n_epochs)
@@ -401,8 +392,7 @@ class AggregateCell:
     metric: str
     mean: float
     sem: float
-    n: int
-    single: bool = False  # sem is 0 by convention when n == 1
+    n: int  # sem is 0 by convention when n == 1
 
 
 def aggregate(rows: list[ResultRow]) -> list[AggregateCell]:
@@ -425,11 +415,9 @@ def aggregate(rows: list[ResultRow]) -> list[AggregateCell]:
             if not vals:
                 continue
             arr = np.array(vals, dtype=float)
-            single = len(arr) == 1
-            sem = 0.0 if single else float(arr.std(ddof=1) / np.sqrt(len(arr)))
+            sem = 0.0 if len(arr) == 1 else float(arr.std(ddof=1) / np.sqrt(len(arr)))
             cells.append(
-                AggregateCell(dataset, loss, metric, float(arr.mean()), sem,
-                              len(arr), single)
+                AggregateCell(dataset, loss, metric, float(arr.mean()), sem, len(arr))
             )
     return cells
 

@@ -17,8 +17,6 @@ from .losses import BoundLoss, NonFiniteScores
 # Weight init: uniform(-INIT_SCALE/sqrt(fan_in), +INIT_SCALE/sqrt(fan_in)).
 INIT_SCALE = 1.0
 
-DEFAULT_HIDDEN_DIMS = (100, 100, 100, 100)
-
 
 class TrainingDiverged(RuntimeError):
     def __init__(self, epoch: int):
@@ -28,24 +26,19 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass(frozen=True)
 class ModelSpec:
-    kind: str  # "linear" | "mlp"
+    """A ReLU MLP by its layer widths; no hidden layers is a linear model."""
+
     in_dim: int
     out_dim: int
-    hidden_dims: tuple[int, ...] = DEFAULT_HIDDEN_DIMS
+    hidden_dims: tuple[int, ...] = ()
     init_seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("linear", "mlp"):
-            raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.in_dim < 1 or self.out_dim < 1:
-            raise ValueError("dimensions must be positive")
-        if self.kind == "mlp" and any(h < 1 for h in self.hidden_dims):
-            raise ValueError("hidden widths must be positive")
+        if min(self.layer_dims) < 1:
+            raise ValueError(f"layer widths must be positive, got {self.layer_dims}")
 
     @property
     def layer_dims(self) -> tuple[int, ...]:
-        if self.kind == "linear":
-            return (self.in_dim, self.out_dim)
         return (self.in_dim, *self.hidden_dims, self.out_dim)
 
 

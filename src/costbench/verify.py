@@ -88,9 +88,8 @@ def run_verify(
         worst = 0.0
         for kind in LOSS_KINDS:
             loss = BoundLoss(LossSpec(kind, cost))
-            for mkind, hidden in (("linear", ()), ("mlp", (16, 16))):
-                spec = ModelSpec(mkind, 2, loss.out_dim, hidden_dims=hidden,
-                                 init_seed=rng_seed + 1)
+            for hidden in ((), (16, 16)):
+                spec = ModelSpec(2, loss.out_dim, hidden_dims=hidden, init_seed=rng_seed + 1)
                 err = gradient_check(spec, loss, x, y, max_coords=60)
                 worst = max(worst, err)
         return worst <= 1e-5, f"max relative error {worst:.2e}"

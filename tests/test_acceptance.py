@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from costbench.costs import binary_alpha_matrix, stock_matrices
-from costbench.data import UCI_SPECS, data_dir, posterior_pos_many, sample_synthetic
+from costbench.data import UCI_SPECS, posterior_pos_many, sample_synthetic, split_sizes
 from costbench.data import bayes_decision_many
 from costbench.diagnostics import monte_carlo_bayes_csl, optimal_boundary_slope
 from costbench.embedding import (
@@ -128,9 +128,8 @@ def test_criterion_4_gradient_correctness(rng):
     for kind in ("cross_entropy", "scaled_cross_entropy", "embedding",
                  "embedding_softmax", "weighted_hinge"):
         loss = BoundLoss(LossSpec(kind, cost))
-        for mkind, hidden in (("linear", (8,)), ("mlp", (16, 16))):
-            spec = ModelSpec(mkind, 2, loss.out_dim, hidden_dims=hidden,
-                             init_seed=3)
+        for hidden in ((), (16, 16)):
+            spec = ModelSpec(2, loss.out_dim, hidden_dims=hidden, init_seed=3)
             err = gradient_check(spec, loss, x, y, max_coords=100)
             worst = max(worst, err)
     elapsed = time.perf_counter() - t0
@@ -211,8 +210,7 @@ def test_criterion_7_boundary_geometry():
 
 
 def _uci_available(name: str) -> bool:
-    spec = UCI_SPECS[name]
-    return (data_dir() / spec.dirname / spec.filename).exists()
+    return UCI_SPECS[name].raw_path().exists()
 
 
 def test_criterion_8_german_credit_gap():
@@ -263,7 +261,7 @@ def test_criterion_9_bayes_lower_bound(synthetic_rows, synthetic_cfg):
     cost = synthetic_cost_matrix(synthetic_cfg.alpha)
     reports01 = (bayes_decision_many(ds.features, synthetic_cfg.alpha) > 0).astype(int)
     realized = cost.entries[reports01, ds.labels]
-    n_test = round(synthetic_cfg.n_samples * synthetic_cfg.fractions[2])
+    n_test = split_sizes(synthetic_cfg.n_samples)[2]
     se_ref = float(realized.std(ddof=1)) / math.sqrt(n_test)
     threshold = est.value - 3 * math.hypot(se_ref, est.stderr)
     violations = [

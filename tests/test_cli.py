@@ -176,3 +176,35 @@ def test_main_function_direct(tiny_config, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["run", str(tiny_config)]) == 0
     assert main(["table", "out/rows.csv"]) == 0
+
+
+REPRODUCE_TABLES = Path(__file__).resolve().parent.parent / "scripts" / "reproduce_tables.py"
+
+
+def test_reproduce_tables_bad_workers_flag_exits_2(tmp_path):
+    env = dict(os.environ, COSTBENCH_DATA_DIR=str(tmp_path / "data"))
+    res = subprocess.run(
+        [sys.executable, str(REPRODUCE_TABLES), "--workers", "0"],
+        capture_output=True, text=True, cwd=tmp_path, env=env,
+    )
+    assert res.returncode == 2
+    assert "--workers" in res.stderr
+
+
+def test_reproduce_tables_preset_writes_suffixed_outputs(tmp_path, monkeypatch):
+    # A preset run keeps the main tables, as `costbench ablate` does.
+    import importlib.util
+
+    from costbench.harness import ResultRow
+
+    spec = importlib.util.spec_from_file_location("reproduce_tables", REPRODUCE_TABLES)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    row = ResultRow("synthetic", "cross_entropy", 0, 0.5, 0.5, 0.1, 0.1, 0.1)
+    monkeypatch.setattr(script, "run_experiment", lambda cfg: [row])
+    monkeypatch.setenv("COSTBENCH_DATA_DIR", str(tmp_path / "data"))
+    monkeypatch.setattr(sys, "argv", ["reproduce_tables.py", "--preset", "mlp"])
+    monkeypatch.chdir(tmp_path)
+    assert script.main() == 0
+    assert (tmp_path / "results/synthetic_rows_mlp.csv").exists()
+    assert not (tmp_path / "results/synthetic_rows.csv").exists()

@@ -436,12 +436,10 @@ def test_uci_load_bytes_pinned(key, tmp_path, monkeypatch):
 @pytest.mark.parametrize("name", ["german_credit", "student_performance", "diabetes"])
 def test_real_uci_when_available(name, monkeypatch):
     monkeypatch.delenv("COSTBENCH_DATA_DIR", raising=False)
-    from costbench.data import data_dir
-
     spec = UCI_SPECS[name]
-    raw = data_dir() / spec.dirname / spec.filename
+    raw = spec.raw_path()
     if not raw.exists():
         pytest.skip(f"{raw} not present; see scripts/fetch_uci.py")
     ds = load_uci(name)
     assert len(ds) == spec.expected_rows
-    assert ds.n_classes == spec.n_classes
+    assert ds.n_classes == spec.cost_factory().n_labels

@@ -168,7 +168,7 @@ def test_gap_small_for_realizable_logistic(rng):
     eta = 1.0 / (1.0 + np.exp(-(x @ w_true)))
     y = (rng.random(n) < eta).astype(int)
     loss = BoundLoss(LossSpec("cross_entropy", ALPHA6))
-    model = train(ModelSpec("linear", 2, 2, init_seed=0), loss,
+    model = train(ModelSpec(2, 2, init_seed=0), loss,
                   (x[:3000], y[:3000]), (x[3000:], y[3000:]),
                   TrainConfig(learning_rate=0.5, n_epochs=3000))
     risk = CrossEntropyRisk(2)
@@ -184,7 +184,7 @@ def test_gap_positive_for_raw_embedding_on_synthetic():
     x, y = ds.features, ds.labels
     cost = synthetic_cost_matrix(1 / 6)
     loss = BoundLoss(LossSpec("embedding", cost))
-    model = train(ModelSpec("linear", 2, 2, init_seed=1), loss,
+    model = train(ModelSpec(2, 2, init_seed=1), loss,
                   (x[:2400], y[:2400]), (x[2400:], y[2400:]),
                   TrainConfig(learning_rate=1.0, n_epochs=2000))
     risk = EmbeddingRisk(loss.surrogate)
@@ -198,7 +198,7 @@ def test_gap_never_negative():
     ds = sample_synthetic(500, rng_seed=6)
     x, y = ds.features, ds.labels
     loss = BoundLoss(LossSpec("cross_entropy", ALPHA6))
-    model = train(ModelSpec("linear", 2, 2, init_seed=2), loss,
+    model = train(ModelSpec(2, 2, init_seed=2), loss,
                   (x[:300], y[:300]), (x[300:400], y[300:400]),
                   TrainConfig(learning_rate=0.5, n_epochs=200))
     risk = CrossEntropyRisk(2)
@@ -219,7 +219,7 @@ def test_boundary_slope_from_known_weights():
     # Score gap g(x) = 2 x1 + 1.6 x2: boundary x1 = -0.8 x2, slope -0.8.
     params = [(np.array([[0.0, 2.0], [0.0, 1.6]]), np.array([0.0, 0.0]))]
     loss = BoundLoss(LossSpec("cross_entropy", ALPHA6))
-    model = TrainedModel(ModelSpec("linear", 2, 2, init_seed=0), loss, params,
+    model = TrainedModel(ModelSpec(2, 2, init_seed=0), loss, params,
                          np.zeros((1, 2)), 0)
     rep = boundary_slope(model, "fixture")
     assert not rep.degenerate
@@ -230,7 +230,7 @@ def test_boundary_slope_from_known_weights():
 def test_boundary_slope_single_output_head():
     params = [(np.array([[1.0], [0.5]]), np.array([0.25]))]
     loss = BoundLoss(LossSpec("weighted_hinge", ALPHA6))
-    model = TrainedModel(ModelSpec("linear", 2, 1, init_seed=0), loss, params,
+    model = TrainedModel(ModelSpec(2, 1, init_seed=0), loss, params,
                          np.zeros((1, 2)), 0)
     rep = boundary_slope(model)
     assert rep.slope == pytest.approx(-0.5)
@@ -240,7 +240,7 @@ def test_boundary_slope_single_output_head():
 def test_boundary_slope_degenerate_flagged():
     params = [(np.array([[0.0, 0.0], [0.0, 1.0]]), np.zeros(2))]
     loss = BoundLoss(LossSpec("cross_entropy", ALPHA6))
-    model = TrainedModel(ModelSpec("linear", 2, 2, init_seed=0), loss, params,
+    model = TrainedModel(ModelSpec(2, 2, init_seed=0), loss, params,
                          np.zeros((1, 2)), 0)
     rep = boundary_slope(model)
     assert rep.degenerate
@@ -251,7 +251,7 @@ def test_example1_geometry_and_csv():
     params_a = [(np.array([[0.0, 2.0], [0.0, 1.6]]), np.zeros(2))]
     params_b = [(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros(2))]
     loss = BoundLoss(LossSpec("cross_entropy", ALPHA6))
-    spec = ModelSpec("linear", 2, 2, init_seed=0)
+    spec = ModelSpec(2, 2, init_seed=0)
     models = {
         "sloped": TrainedModel(spec, loss, params_a, np.zeros((1, 2)), 0),
         "vertical": TrainedModel(spec, loss, params_b, np.zeros((1, 2)), 0),

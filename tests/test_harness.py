@@ -274,7 +274,7 @@ def test_aggregate_hand_value():
 
 def test_aggregate_single_row_flagged():
     cell = next(c for c in aggregate([make_row("ce", 0, 0.7)]) if c.metric == "csl")
-    assert cell.sem == 0.0 and cell.single
+    assert cell.sem == 0.0 and cell.n == 1
 
 
 def test_aggregate_skips_failed_cells():

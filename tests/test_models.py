@@ -35,7 +35,7 @@ def make_blobs(n, rng, separation=3.0):
 
 
 def test_init_deterministic():
-    spec = ModelSpec("linear", 4, 2, init_seed=9)
+    spec = ModelSpec(4, 2, init_seed=9)
     a = init_model(spec)
     b = init_model(spec)
     for (wa, ba), (wb, bb) in zip(a, b):
@@ -43,13 +43,13 @@ def test_init_deterministic():
 
 
 def test_init_seed_changes_weights():
-    a = init_model(ModelSpec("linear", 4, 2, init_seed=1))
-    b = init_model(ModelSpec("linear", 4, 2, init_seed=2))
+    a = init_model(ModelSpec(4, 2, init_seed=1))
+    b = init_model(ModelSpec(4, 2, init_seed=2))
     assert not np.array_equal(a[0][0], b[0][0])
 
 
 def test_init_biases_zero_and_bounded():
-    spec = ModelSpec("mlp", 10, 3, hidden_dims=(20, 20), init_seed=0)
+    spec = ModelSpec(10, 3, hidden_dims=(20, 20), init_seed=0)
     params = init_model(spec)
     dims = spec.layer_dims
     for (w, b), fan_in in zip(params, dims[:-1]):
@@ -58,7 +58,7 @@ def test_init_biases_zero_and_bounded():
 
 
 def test_forward_zero_weights():
-    spec = ModelSpec("linear", 3, 2, init_seed=0)
+    spec = ModelSpec(3, 2, init_seed=0)
     params = [(np.zeros((3, 2)), np.zeros(2))]
     assert np.array_equal(forward(params, np.ones((4, 3))), np.zeros((4, 2)))
 
@@ -84,7 +84,7 @@ def test_forward_hand_computed_mlp():
 
 
 def test_forward_dimension_mismatch():
-    params = init_model(ModelSpec("linear", 3, 2, init_seed=0))
+    params = init_model(ModelSpec(3, 2, init_seed=0))
     with pytest.raises(ValueError):
         forward(params, np.ones((4, 5)))
 
@@ -95,7 +95,7 @@ def test_forward_dimension_mismatch():
 def test_zero_learning_rate_freezes(rng):
     x, y = make_blobs(40, rng)
     loss = BoundLoss(LossSpec("cross_entropy", ALPHA6))
-    spec = ModelSpec("linear", 2, 2, init_seed=4)
+    spec = ModelSpec(2, 2, init_seed=4)
     model = train(spec, loss, (x[:30], y[:30]), (x[30:], y[30:]),
                   TrainConfig(learning_rate=0.0, n_epochs=20))
     assert np.ptp(model.history[:, 0]) == 0.0
@@ -108,7 +108,7 @@ def test_zero_learning_rate_freezes(rng):
 def test_separable_ce_converges(rng):
     x, y = make_blobs(60, rng, separation=6.0)
     loss = BoundLoss(LossSpec("cross_entropy", ALPHA6))
-    model = train(ModelSpec("linear", 2, 2, init_seed=1), loss,
+    model = train(ModelSpec(2, 2, init_seed=1), loss,
                   (x[:40], y[:40]), (x[40:], y[40:]),
                   TrainConfig(learning_rate=0.5, n_epochs=800))
     assert model.history[-1, 0] < 0.01
@@ -119,7 +119,7 @@ def test_training_deterministic(rng):
     loss = BoundLoss(LossSpec("embedding_softmax", ALPHA6))
     cfg = TrainConfig(learning_rate=0.3, n_epochs=150)
     runs = [
-        train(ModelSpec("linear", 2, 2, init_seed=3), loss,
+        train(ModelSpec(2, 2, init_seed=3), loss,
               (x[:35], y[:35]), (x[35:], y[35:]), cfg)
         for _ in range(2)
     ]
@@ -132,7 +132,7 @@ def test_training_deterministic(rng):
 def test_best_epoch_attains_min_val(rng):
     x, y = make_blobs(60, rng)
     loss = BoundLoss(LossSpec("scaled_cross_entropy", ALPHA6))
-    model = train(ModelSpec("linear", 2, 2, init_seed=2), loss,
+    model = train(ModelSpec(2, 2, init_seed=2), loss,
                   (x[:40], y[:40]), (x[40:], y[40:]),
                   TrainConfig(learning_rate=0.5, n_epochs=200))
     assert model.history[model.best_epoch, 1] == model.history[:, 1].min()
@@ -150,7 +150,7 @@ def test_monotone_first_epochs_small_lr(rng):
     for kind in ("cross_entropy", "scaled_cross_entropy", "embedding",
                  "embedding_softmax", "weighted_hinge"):
         loss = BoundLoss(LossSpec(kind, cost))
-        model = train(ModelSpec("linear", 2, loss.out_dim, init_seed=6), loss,
+        model = train(ModelSpec(2, loss.out_dim, init_seed=6), loss,
                       (x[:150], y[:150]), (x[150:], y[150:]),
                       TrainConfig(learning_rate=0.01, n_epochs=10))
         assert model.history[10, 0] < model.history[0, 0], kind
@@ -162,7 +162,7 @@ def test_divergence_raises_with_epoch(rng):
     loss = BoundLoss(LossSpec("cross_entropy", ALPHA6))
     # Steps this large overflow the parameters to non-finite within a step or two.
     with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as err:
-        train(ModelSpec("linear", 2, 2, init_seed=0), loss,
+        train(ModelSpec(2, 2, init_seed=0), loss,
               (x[:20], y[:20]), (x[20:], y[20:]),
               TrainConfig(learning_rate=1e305, n_epochs=50))
     assert err.value.epoch >= 1
@@ -183,7 +183,7 @@ def test_plain_value_error_is_not_divergence(rng):
     x, y = make_blobs(30, rng)
     loss = BuggyLoss(LossSpec("cross_entropy", ALPHA6))
     with pytest.raises(ValueError, match="index bug"):
-        train(ModelSpec("linear", 2, 2, init_seed=0), loss,
+        train(ModelSpec(2, 2, init_seed=0), loss,
               (x[:20], y[:20]), (x[20:], y[20:]),
               TrainConfig(learning_rate=0.1, n_epochs=10))
 
@@ -192,7 +192,7 @@ def test_empty_split_rejected(rng):
     x, y = make_blobs(10, rng)
     loss = BoundLoss(LossSpec("cross_entropy", ALPHA6))
     with pytest.raises(ValueError):
-        train(ModelSpec("linear", 2, 2, init_seed=0), loss,
+        train(ModelSpec(2, 2, init_seed=0), loss,
               (x, y), (x[:0], y[:0]), TrainConfig())
 
 
@@ -200,7 +200,7 @@ def test_out_dim_mismatch_rejected(rng):
     x, y = make_blobs(10, rng)
     loss = BoundLoss(LossSpec("cross_entropy", STUDENT))
     with pytest.raises(ValueError):
-        train(ModelSpec("linear", 2, 2, init_seed=0), loss,
+        train(ModelSpec(2, 2, init_seed=0), loss,
               (x, y), (x, y), TrainConfig())
 
 
@@ -213,7 +213,7 @@ def test_evaluate_perfect_model():
     y = np.array([1, 0] * 10)
     params = [(np.array([[0.0, 10.0], [0.0, 0.0]]), np.zeros(2))]
     loss = BoundLoss(LossSpec("cross_entropy", ALPHA6))
-    spec = ModelSpec("linear", 2, 2, init_seed=0)
+    spec = ModelSpec(2, 2, init_seed=0)
     from costbench.models import TrainedModel
 
     model = TrainedModel(spec, loss, params, np.zeros((1, 2)), 0)
@@ -228,7 +228,7 @@ def test_evaluate_constant_prediction_base_rate(rng):
     loss = BoundLoss(LossSpec("cross_entropy", ALPHA6))
     from costbench.models import TrainedModel
 
-    model = TrainedModel(ModelSpec("linear", 2, 2, init_seed=0), loss, params,
+    model = TrainedModel(ModelSpec(2, 2, init_seed=0), loss, params,
                          np.zeros((1, 2)), 0)
     res = evaluate(model, (x, y), ALPHA6)
     want = y.mean() * ALPHA6.entries[0, 1]  # every positive costs 5/6
@@ -238,7 +238,7 @@ def test_evaluate_constant_prediction_base_rate(rng):
 def test_evaluate_order_invariant(rng):
     x, y = make_blobs(80, rng)
     loss = BoundLoss(LossSpec("cross_entropy", ALPHA6))
-    model = train(ModelSpec("linear", 2, 2, init_seed=3), loss,
+    model = train(ModelSpec(2, 2, init_seed=3), loss,
                   (x[:60], y[:60]), (x[60:], y[60:]),
                   TrainConfig(learning_rate=0.2, n_epochs=50))
     perm = rng.permutation(80)
@@ -254,7 +254,7 @@ def test_evaluate_cost_se_matches_second_pass(kind, rng):
     # pass over the split computes it.
     x, y = make_blobs(80, rng, separation=1.0)
     loss = BoundLoss(LossSpec(kind, ALPHA6))
-    model = train(ModelSpec("linear", 2, loss.out_dim, init_seed=3), loss,
+    model = train(ModelSpec(2, loss.out_dim, init_seed=3), loss,
                   (x[:60], y[:60]), (x[60:], y[60:]),
                   TrainConfig(learning_rate=0.2, n_epochs=20))
     costs = ALPHA6.entries[loss.decide_batch(model.scores(x)), y]
@@ -270,7 +270,7 @@ def test_evaluate_deferral_has_no_accuracy(rng):
     cost = german_credit_deferral_matrix()
     x, y = make_blobs(40, rng)
     loss = BoundLoss(LossSpec("embedding", cost))
-    model = train(ModelSpec("linear", 2, 2, init_seed=3), loss,
+    model = train(ModelSpec(2, 2, init_seed=3), loss,
                   (x[:30], y[:30]), (x[30:], y[30:]),
                   TrainConfig(learning_rate=0.2, n_epochs=30))
     res = evaluate(model, (x, y), cost)
@@ -287,7 +287,7 @@ def test_evaluate_deferral_has_no_accuracy(rng):
 def test_gradient_check_linear(kind, rng):
     loss = BoundLoss(LossSpec(kind, ALPHA6))
     x, y = make_blobs(100, rng)
-    err = gradient_check(ModelSpec("linear", 2, loss.out_dim, init_seed=7),
+    err = gradient_check(ModelSpec(2, loss.out_dim, init_seed=7),
                          loss, x, y)
     assert err <= 1e-5, f"{kind}: {err}"
 
@@ -297,7 +297,7 @@ def test_gradient_check_linear(kind, rng):
 def test_gradient_check_mlp(kind, rng):
     loss = BoundLoss(LossSpec(kind, ALPHA6))
     x, y = make_blobs(100, rng)
-    spec = ModelSpec("mlp", 2, loss.out_dim, hidden_dims=(12, 12), init_seed=7)
+    spec = ModelSpec(2, loss.out_dim, hidden_dims=(12, 12), init_seed=7)
     err = gradient_check(spec, loss, x, y)
     assert err <= 1e-5, f"{kind}: {err}"
 
@@ -361,8 +361,8 @@ def reference_train(spec, loss, train_xy, val_xy, cfg, selection_metric=None):
 LOSS_KIND_NAMES = ("cross_entropy", "scaled_cross_entropy", "embedding",
                    "embedding_softmax", "weighted_hinge")
 TRAIN_MODES = {
-    "linear_full_batch": (dict(kind="linear"), dict(learning_rate=1.0, n_epochs=60)),
-    "mlp_full_batch": (dict(kind="mlp", hidden_dims=(16, 16)),
+    "linear_full_batch": (dict(), dict(learning_rate=1.0, n_epochs=60)),
+    "mlp_full_batch": (dict(hidden_dims=(16, 16)),
                        dict(learning_rate=0.05, n_epochs=40)),
 }
 
@@ -423,7 +423,7 @@ def test_train_matches_reference_loop_on_stock_matrices(name, n_tr, n_va):
         if kind == "weighted_hinge" and cost.entries.shape != (2, 2):
             continue
         loss = BoundLoss(LossSpec(kind, cost))
-        args = (ModelSpec("linear", 4, loss.out_dim, init_seed=3), loss,
+        args = (ModelSpec(4, loss.out_dim, init_seed=3), loss,
                 (x[:n_tr], y[:n_tr]), (x[n_tr:], y[n_tr:]),
                 TrainConfig(learning_rate=0.5, n_epochs=15))
         _assert_same_model(train(*args), reference_train(*args))
@@ -453,7 +453,7 @@ def test_divergence_epoch_matches_reference(kind, synthetic_splits):
     # Steps of 1e20 overflow this MLP's activations within a few updates.
     loss = BoundLoss(LossSpec(kind, synthetic_cost_matrix(1 / 6)))
     tr, va = synthetic_splits
-    args = (ModelSpec("mlp", 2, loss.out_dim, hidden_dims=(16, 16), init_seed=1),
+    args = (ModelSpec(2, loss.out_dim, hidden_dims=(16, 16), init_seed=1),
             loss, tr, va, TrainConfig(learning_rate=1e20, n_epochs=30))
     epoch = _diverged_epoch(reference_train, *args)
     assert epoch > 1
@@ -472,7 +472,7 @@ def test_divergence_seen_only_on_train_split_keeps_its_epoch():
     va = (ds.features[40:], ds.labels[40:])
     loss = CappedLoss(LossSpec("cross_entropy", synthetic_cost_matrix(1 / 6)))
     loss.cap = 55.0
-    args = (ModelSpec("linear", 2, 2, init_seed=1), loss, (x_tr, y_tr), va,
+    args = (ModelSpec(2, 2, init_seed=1), loss, (x_tr, y_tr), va,
             TrainConfig(learning_rate=1.0, n_epochs=10))
     epoch = _diverged_epoch(reference_train, *args)
     assert epoch == 4
@@ -491,7 +491,7 @@ def test_divergence_seen_only_on_val_split_keeps_its_epoch():
     x_va[0] = (50.0, 0.0)
     loss = CappedLoss(LossSpec("cross_entropy", synthetic_cost_matrix(1 / 6)))
     loss.cap = 55.0
-    args = (ModelSpec("linear", 2, 2, init_seed=1), loss, tr, (x_va, y_va),
+    args = (ModelSpec(2, 2, init_seed=1), loss, tr, (x_va, y_va),
             TrainConfig(learning_rate=1.0, n_epochs=10))
     epoch = _diverged_epoch(reference_train, *args)
     assert epoch == 4
@@ -517,6 +517,6 @@ def test_one_loss_pass_per_epoch(kind, selection, synthetic_splits):
             return float(np.mean(loss.decide_batch(s_va) != va[1]))
 
     cfg = TrainConfig(learning_rate=0.5, n_epochs=25)
-    train(ModelSpec("linear", 2, loss.out_dim, init_seed=2), loss, tr, va, cfg,
+    train(ModelSpec(2, loss.out_dim, init_seed=2), loss, tr, va, cfg,
           selection_metric=metric)
     assert calls == [len(tr[0]) + len(va[0])] * (cfg.n_epochs + 1)
