@@ -3,7 +3,8 @@
 
 The synthetic benchmark always runs; UCI benchmarks are skipped with a notice
 when their raw file is missing (see scripts/fetch_uci.py). Pass --preset
-full_data or --preset mlp to run the ablation variants instead.
+full_data or --preset mlp to run the ablation variants instead; they write
+<stem>_<preset><suffix> beside the main outputs, as `costbench ablate` does.
 """
 import argparse
 import sys
