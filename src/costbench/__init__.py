@@ -12,7 +12,6 @@ from .costs import (
     SimplexDist,
     accuracy,
     bayes_optimal_reports,
-    bayes_risk,
     binary_alpha_matrix,
     confusion,
     cost_sensitive_loss,

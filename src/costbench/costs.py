@@ -55,11 +55,6 @@ class CostMatrix:
     def is_square(self) -> bool:
         return self.n_reports == self.n_labels
 
-    def scaled(self, factor: float) -> "CostMatrix":
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
-        return CostMatrix(self.entries * factor)
-
 
 @dataclass(frozen=True, eq=False)
 class SimplexDist:
@@ -124,23 +119,12 @@ def bayes_optimal_reports(
     return tuple(int(r) for r in np.flatnonzero(costs <= best + tie_eps))
 
 
-def bayes_risk(cost: CostMatrix, p: SimplexDist) -> float:
-    """Minimal expected cost over reports; concave piecewise-linear in p."""
-    return float(expected_costs(cost, p).min())
-
-
-def confusion(
-    preds, labels, n_reports: int | None = None, n_labels: int | None = None
-) -> ConfusionMatrix:
+def confusion(preds, labels, n_reports: int, n_labels: int) -> ConfusionMatrix:
     """Count (prediction, label) pairs into a reports x labels matrix."""
     preds = np.asarray(preds, dtype=int)
     labels = np.asarray(labels, dtype=int)
     if preds.shape != labels.shape or preds.ndim != 1:
         raise ValueError("preds and labels must be equal-length 1-d sequences")
-    if n_reports is None:
-        n_reports = int(preds.max()) + 1 if preds.size else 0
-    if n_labels is None:
-        n_labels = int(labels.max()) + 1 if labels.size else 0
     if preds.size and (preds.min() < 0 or preds.max() >= n_reports):
         raise ValueError("prediction index out of range")
     if labels.size and (labels.min() < 0 or labels.max() >= n_labels):
@@ -296,11 +280,3 @@ def load_cost_matrix(path) -> CostMatrix:
         return CostMatrix(np.array(rows))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-
-
-def save_cost_matrix(cost: CostMatrix, path) -> None:
-    """Inverse of load_cost_matrix (exact float round-trip via repr)."""
-    lines = [f"{cost.n_reports} {cost.n_labels}"]
-    for row in cost.entries:
-        lines.append(" ".join(repr(float(v)) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")

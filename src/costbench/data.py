@@ -46,8 +46,7 @@ class Dataset:
             raise ValueError("features must be (n, d) with n matching labels")
         if not np.all(np.isfinite(f)):
             raise ValueError("features contain non-finite values")
-        n_classes = len(self.label_map)
-        if l.size and (l.min() < 0 or l.max() >= n_classes):
+        if l.size and (l.min() < 0 or l.max() >= len(self.label_map)):
             raise ValueError("labels out of range of label_map")
         f.setflags(write=False)
         l.setflags(write=False)
@@ -60,10 +59,6 @@ class Dataset:
     @property
     def n_features(self) -> int:
         return self.features.shape[1]
-
-    @property
-    def n_classes(self) -> int:
-        return len(self.label_map)
 
 
 @dataclass(frozen=True, eq=False)
@@ -344,29 +339,20 @@ def load_uci(name: str) -> Dataset:
 SPLIT_FRACTIONS = (0.6, 0.2, 0.2)  # train, validation, test
 
 
-def split_sizes(
-    n: int, fractions: tuple[float, float, float] = SPLIT_FRACTIONS
-) -> tuple[int, int, int]:
-    """Train, validation and test sizes of an n-row split under fractions."""
-    n_train = int(round(fractions[0] * n))
-    n_val = min(int(round(fractions[1] * n)), n - n_train)
+def split_sizes(n: int) -> tuple[int, int, int]:
+    """Train, validation and test sizes of an n-row split under SPLIT_FRACTIONS."""
+    n_train = int(round(SPLIT_FRACTIONS[0] * n))
+    n_val = min(int(round(SPLIT_FRACTIONS[1] * n)), n - n_train)
     return n_train, n_val, n - n_train - n_val
 
 
-def subsample_and_split(
-    ds: Dataset,
-    n: int,
-    fractions: tuple[float, float, float] = SPLIT_FRACTIONS,
-    seed: int = 0,
-) -> SplitIndices:
+def subsample_and_split(ds: Dataset, n: int, seed: int = 0) -> SplitIndices:
     """Seed-deterministic subsample of n rows, then a train/val/test split."""
     if n > len(ds):
         raise ValueError(f"cannot subsample {n} rows from {len(ds)}")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError("fractions must sum to 1")
     rng = np.random.default_rng(seed)
     chosen = rng.choice(len(ds), size=n, replace=False)
-    n_train, n_val, _ = split_sizes(n, fractions)
+    n_train, n_val, _ = split_sizes(n)
     return SplitIndices(
         train=chosen[:n_train],
         val=chosen[n_train : n_train + n_val],

@@ -49,10 +49,6 @@ class EmbeddingSurrogate:
     def n_labels(self) -> int:
         return self.cost.n_labels
 
-    @property
-    def n_reports(self) -> int:
-        return self.cost.n_reports
-
 
 @dataclass(frozen=True)
 class Violation:

@@ -24,7 +24,7 @@ from . import data as data_mod
 from .costs import CostMatrix, confusion, cost_sensitive_loss, synthetic_cost_matrix
 from .diagnostics import boundary_slope
 from .losses import LOSS_KINDS, BoundLoss, LossSpec, postprocess_search
-from .models import ModelSpec, TrainConfig, TrainingDiverged, evaluate, train
+from .models import ModelSpec, TrainConfig, TrainingDiverged, evaluate, forward, train
 from .seeding import mix_seed
 
 DATASET_NAMES = ("synthetic", *data_mod.UCI_SPECS)
@@ -317,7 +317,7 @@ def run_cell(cfg: ExperimentConfig, label: str, seed_index: int) -> ResultRow:
         weights = None
         if label == "cross_entropy_post":
             weights = postprocess_search(
-                model.scores(va[0]),
+                forward(model.params, va[0]),
                 va[1],
                 cost,
                 n_candidates=cfg.postprocess_candidates,

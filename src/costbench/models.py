@@ -69,10 +69,6 @@ def init_model(spec: ModelSpec) -> Params:
     return params
 
 
-def _copy_params(params: Params) -> Params:
-    return [(w.copy(), b.copy()) for w, b in params]
-
-
 def _forward_cache(params: Params, x: np.ndarray):
     acts = [x]
     h = x
@@ -87,17 +83,16 @@ def _forward_cache(params: Params, x: np.ndarray):
 
 
 def forward(params: Params, x) -> np.ndarray:
-    """Raw scores; any squashing lives in the loss."""
+    """Raw (n, k) scores of (n, d) inputs; any squashing lives in the loss."""
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
+    if x.ndim != 2:
+        raise ValueError(f"inputs must be (n, d), got shape {x.shape}")
     if x.shape[1] != params[0][0].shape[0]:
         raise ValueError(
             f"input width {x.shape[1]} != model input dim {params[0][0].shape[0]}"
         )
     scores, _ = _forward_cache(params, x)
-    return scores[0] if single else scores
+    return scores
 
 
 def _backward(params: Params, acts, grad_scores: np.ndarray) -> Params:
@@ -120,12 +115,6 @@ def mean_loss_and_param_grads(
     return float(vals.mean()), _backward(params, acts, grad_scores / n)
 
 
-def _mean_loss(params: Params, loss: BoundLoss, x: np.ndarray, y: np.ndarray) -> float:
-    scores, _ = _forward_cache(params, x)
-    vals, _ = loss.batch(scores, y)
-    return float(vals.mean())
-
-
 @dataclass(eq=False)
 class TrainedModel:
     spec: ModelSpec
@@ -133,9 +122,6 @@ class TrainedModel:
     params: Params
     history: np.ndarray  # (n_epochs + 1, 2): train and val loss at each epoch
     best_epoch: int
-
-    def scores(self, x) -> np.ndarray:
-        return forward(self.params, x)
 
 
 def train(
@@ -150,7 +136,8 @@ def train(
 
     history[e] holds (train loss, val loss) at the parameters after e updates;
     row 0 is the initial model. best_epoch is the first epoch attaining the
-    minimal validation loss, and the returned parameters are its snapshot.
+    minimal validation loss, and the returned parameters are its snapshot:
+    each step builds a new parameter list and writes into no array in place.
     selection_metric, when given, replaces the validation loss as the
     per-epoch selection criterion: a callable from the epoch's validation
     scores to a float, lower is better.
@@ -206,7 +193,7 @@ def train(
         history[epoch] = (tl, vl)
         sel = vl if selection_metric is None else float(selection_metric(s_va))
         if epoch == 0 or sel < best_sel:
-            best_epoch, best_sel, best_params = epoch, sel, _copy_params(params)
+            best_epoch, best_sel, best_params = epoch, sel, params
         if epoch < cfg.n_epochs:
             grads = _backward(params, acts, g[:n_tr] / n_tr)
             params = [
@@ -291,12 +278,13 @@ def gradient_check(
                     zip(params, parts[::2], parts[1::2])]
     worst = 0.0
     for c in coords:
-        moved[c] = flat[c] + h
-        up = _mean_loss(moved_params, loss, x, y)
-        moved[c] = flat[c] - h
-        dn = _mean_loss(moved_params, loss, x, y)
+        up_dn = []
+        for value in (flat[c] + h, flat[c] - h):
+            moved[c] = value
+            vals, _ = loss.batch(_forward_cache(moved_params, x)[0], y)
+            up_dn.append(float(vals.mean()))
         moved[c] = flat[c]
-        fd = (up - dn) / (2 * h)
+        fd = (up_dn[0] - up_dn[1]) / (2 * h)
         denom = max(abs(fd), abs(flat_grads[c]), 1.0)
         worst = max(worst, abs(fd - flat_grads[c]) / denom)
     return worst

@@ -56,9 +56,11 @@ def run_verify(
 ) -> tuple[bool, list[CheckResult]]:
     grid_res = 0.05 if fast else 0.01
     n_u = 1000 if fast else 10_000
-    matrices = dict(stock_matrices())
-    if extra_matrices:
-        matrices.update(extra_matrices)
+    matrices = stock_matrices()
+    for name, cost in (extra_matrices or {}).items():
+        if name in matrices:
+            raise ValueError(f"extra matrix {name!r} has the name of a stock matrix")
+        matrices[name] = cost
     results: list[CheckResult] = []
 
     for name, cost in matrices.items():
@@ -137,8 +139,18 @@ def run_verify(
 
 
 def verify_matrix_files(paths) -> dict[str, CostMatrix]:
-    """Load extra matrices for the suite; parse errors propagate."""
-    out = {}
+    """Load extra matrices for the suite, each named by its file's stem.
+
+    Parse errors propagate. A stem that repeats, or that names a stock
+    matrix, raises ValueError naming the paths: the suite would otherwise
+    check one matrix in place of another.
+    """
+    stock, path_of = stock_matrices(), {}
     for p in paths:
-        out[Path(p).stem] = load_cost_matrix(p)
-    return out
+        name = Path(p).stem
+        if name in stock:
+            raise ValueError(f"matrix file {p} has the name of stock matrix {name!r}")
+        if name in path_of:
+            raise ValueError(f"matrix files {path_of[name]} and {p} share the name {name!r}")
+        path_of[name] = p
+    return {name: load_cost_matrix(p) for name, p in path_of.items()}

@@ -7,7 +7,6 @@ import pytest
 
 import costbench
 from costbench.cli import main
-from costbench.costs import save_cost_matrix, severity_three_class_matrix
 
 
 # Directory holding the imported package, so the child process runs the same
@@ -126,10 +125,35 @@ def test_verify_rejects_corrupt_matrix_file(tmp_path):
 
 def test_verify_accepts_valid_matrix_file(tmp_path):
     extra = tmp_path / "extra.txt"
-    save_cost_matrix(severity_three_class_matrix().scaled(2.0), extra)
+    extra.write_text("3 3\n0.0 6.0 10.0\n2.0 0.0 6.0\n6.0 2.0 0.0\n")  # severity x 2
     res = run_cli(["verify", "--fast", "--matrix", str(extra)], cwd=tmp_path)
     assert res.returncode == 0, res.stdout
     assert "extra" in res.stdout
+
+
+def test_verify_rejects_repeated_matrix_name(tmp_path):
+    # a/costs.txt and b/costs.txt would both be named "costs", and one of
+    # them would never be checked.
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+        (tmp_path / sub / "costs.txt").write_text("2 2\n0.0 1.0\n1.0 0.0\n")
+    res = run_cli(["verify", "--fast", "--matrix", "a/costs.txt",
+                   "--matrix", "b/costs.txt"], cwd=tmp_path)
+    assert res.returncode == 2, res.stdout + res.stderr
+    assert res.stderr.startswith("error: ")
+    assert "a/costs.txt" in res.stderr and "b/costs.txt" in res.stderr
+    assert res.stdout == ""
+
+
+def test_verify_rejects_matrix_named_like_stock(tmp_path):
+    # Named german_credit, this file would be checked in place of the stock
+    # lending matrix.
+    (tmp_path / "german_credit.txt").write_text("2 2\n0.0 9.0\n1.0 0.0\n")
+    res = run_cli(["verify", "--fast", "--matrix", "german_credit.txt"], cwd=tmp_path)
+    assert res.returncode == 2, res.stdout + res.stderr
+    assert res.stderr.startswith("error: ")
+    assert "german_credit.txt" in res.stderr
+    assert res.stdout == ""
 
 
 def test_ablate_preset(tmp_path):

@@ -9,13 +9,11 @@ from costbench.costs import (
     SimplexDist,
     accuracy,
     bayes_optimal_reports,
-    bayes_risk,
     binary_alpha_matrix,
     confusion,
     cost_sensitive_loss,
     expected_costs,
     load_cost_matrix,
-    save_cost_matrix,
     severity_three_class_matrix,
     simplex_grid,
     synthetic_cost_matrix,
@@ -102,18 +100,12 @@ def test_bayes_optimal_student_uniform_tie():
 
 
 def test_bayes_risk_values():
-    assert bayes_risk(STUDENT, dist(1 / 3, 1 / 3, 1 / 3)) == pytest.approx(4 / 3)
+    assert expected_costs(STUDENT, dist(1 / 3, 1 / 3, 1 / 3)).min() == pytest.approx(4 / 3)
     alpha = 0.25
     p = dist(1 - alpha, alpha)
-    assert bayes_risk(binary_alpha_matrix(alpha), p) == pytest.approx(alpha * (1 - alpha))
-    assert bayes_risk(STUDENT, SimplexDist(np.eye(3)[0])) == 0.0
-
-
-def test_bayes_risk_equals_min_on_grid():
-    grid = simplex_grid(3, 0.1)
-    for p in grid:
-        d = SimplexDist(p)
-        assert bayes_risk(STUDENT, d) == expected_costs(STUDENT, d).min()
+    assert expected_costs(binary_alpha_matrix(alpha), p).min() == pytest.approx(
+        alpha * (1 - alpha))
+    assert expected_costs(STUDENT, SimplexDist(np.eye(3)[0])).min() == 0.0
 
 
 @given(st.integers(0, 10_000), st.integers(0, 10_000))
@@ -122,10 +114,9 @@ def test_bayes_risk_concave_midpoints(i, j):
     p = grid[i % len(grid)]
     q = grid[j % len(grid)]
     mid = SimplexDist((p + q) / 2)
-    lhs = bayes_risk(STUDENT, mid)
-    rhs = 0.5 * bayes_risk(STUDENT, SimplexDist(p)) + 0.5 * bayes_risk(
-        STUDENT, SimplexDist(q)
-    )
+    lhs = expected_costs(STUDENT, mid).min()
+    rhs = (0.5 * expected_costs(STUDENT, SimplexDist(p)).min()
+           + 0.5 * expected_costs(STUDENT, SimplexDist(q)).min())
     assert lhs >= rhs - 1e-12
 
 
@@ -134,7 +125,8 @@ def test_bayes_optimal_scale_invariant(factor, idx):
     grid = simplex_grid(3, 0.05)
     p = SimplexDist(grid[idx % len(grid)])
     base = bayes_optimal_reports(STUDENT, p)
-    scaled = bayes_optimal_reports(STUDENT.scaled(factor), p, tie_eps=TIE_EPS * factor)
+    scaled = bayes_optimal_reports(CostMatrix(STUDENT.entries * factor), p,
+                                   tie_eps=TIE_EPS * factor)
     assert base == scaled
 
 
@@ -246,7 +238,8 @@ def test_simplex_grid_rejects_bad_resolution():
 
 def test_cost_matrix_file_round_trip(tmp_path):
     path = tmp_path / "m.txt"
-    save_cost_matrix(STUDENT, path)
+    path.write_text("3 3\n" + "".join(" ".join(repr(float(v)) for v in row) + "\n"
+                                       for row in STUDENT.entries))
     loaded = load_cost_matrix(path)
     assert np.array_equal(loaded.entries, STUDENT.entries)
 

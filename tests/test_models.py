@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from costbench.costs import (
     stock_matrices,
     synthetic_cost_matrix,
 )
-from costbench.losses import BoundLoss, LossSpec
+from costbench.losses import LOSS_KINDS, BoundLoss, LossSpec
 from costbench.models import (
     ModelSpec,
     TrainConfig,
@@ -87,6 +89,15 @@ def test_forward_dimension_mismatch():
     params = init_model(ModelSpec(3, 2, init_seed=0))
     with pytest.raises(ValueError):
         forward(params, np.ones((4, 5)))
+
+
+def test_forward_rejects_inputs_that_are_not_rows():
+    # Inputs are (n, d) rows only; a 1-D sample or a 3-D stack is an error
+    # that names its shape.
+    params = init_model(ModelSpec(3, 2, init_seed=0))
+    for shape in [(3,), (1, 4, 3)]:
+        with pytest.raises(ValueError, match=re.escape(str(shape))):
+            forward(params, np.ones(shape))
 
 
 # --- training ----------------------------------------------------------------
@@ -257,7 +268,7 @@ def test_evaluate_cost_se_matches_second_pass(kind, rng):
     model = train(ModelSpec(2, loss.out_dim, init_seed=3), loss,
                   (x[:60], y[:60]), (x[60:], y[60:]),
                   TrainConfig(learning_rate=0.2, n_epochs=20))
-    costs = ALPHA6.entries[loss.decide_batch(model.scores(x)), y]
+    costs = ALPHA6.entries[loss.decide_batch(forward(model.params, x)), y]
     want = float(costs.std(ddof=1) / np.sqrt(len(costs)))
     assert want > 0
     assert evaluate(model, (x, y), ALPHA6).cost_se == want
@@ -300,6 +311,33 @@ def test_gradient_check_mlp(kind, rng):
     spec = ModelSpec(2, loss.out_dim, hidden_dims=(12, 12), init_seed=7)
     err = gradient_check(spec, loss, x, y)
     assert err <= 1e-5, f"{kind}: {err}"
+
+
+# float.hex of gradient_check on the verify suite's inputs (rng_seed 0, 120
+# rows, max_coords 60), per loss kind, linear then (16, 16); verify prints
+# only three digits of their maximum.
+GRADIENT_CHECK_HEX = {
+    "cross_entropy": ("0x1.7a3a000000000p-38", "0x1.32125c0000000p-37"),
+    "scaled_cross_entropy": ("0x1.29c5000000000p-39", "0x1.c183fb0000000p-39"),
+    "embedding": ("0x1.8150000000000p-38", "0x1.84fa080000000p-39"),
+    "embedding_softmax": ("0x1.d840000000000p-40", "0x1.8282580000000p-39"),
+    "weighted_hinge": ("0x1.eb23000000000p-40", "0x1.be92b80000000p-39"),
+}
+
+
+def test_gradient_check_values_pinned():
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(120, 2))
+    y = (rng.random(120) < 0.5).astype(int)
+    assert set(GRADIENT_CHECK_HEX) == set(LOSS_KINDS)
+    for kind, want in GRADIENT_CHECK_HEX.items():
+        loss = BoundLoss(LossSpec(kind, ALPHA6))
+        got = tuple(
+            gradient_check(ModelSpec(2, loss.out_dim, hidden_dims=hidden, init_seed=1),
+                           loss, x, y, max_coords=60).hex()
+            for hidden in ((), (16, 16))
+        )
+        assert got == want, kind
 
 
 # --- fused epoch against the reference loop ------------------------------------------

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from costbench.costs import save_cost_matrix, severity_three_class_matrix, stock_matrices
+from costbench.costs import CostMatrix, severity_three_class_matrix, stock_matrices
 from costbench.diagnostics import embedding_regret_profile
 from costbench.embedding import build_embedding_surrogate, link_many, sample_predictions
 from costbench.verify import run_verify, verify_matrix_files
@@ -31,15 +31,20 @@ def test_report_artifacts_written(tmp_path):
 
 
 def test_extra_matrix_included(tmp_path):
-    extra = {"doubled": severity_three_class_matrix().scaled(2.0)}
+    extra = {"doubled": CostMatrix(severity_three_class_matrix().entries * 2.0)}
     ok, results = run_verify(fast=True, extra_matrices=extra)
     assert ok
     assert any("doubled" in r.name for r in results)
 
 
+def test_extra_matrix_may_not_replace_a_stock_matrix():
+    with pytest.raises(ValueError, match="german_credit"):
+        run_verify(fast=True, extra_matrices={"german_credit": CostMatrix([[0, 9], [1, 0]])})
+
+
 def test_matrix_file_loading(tmp_path):
     good = tmp_path / "good.txt"
-    save_cost_matrix(severity_three_class_matrix(), good)
+    good.write_text("3 3\n0.0 3.0 5.0\n1.0 0.0 3.0\n3.0 1.0 0.0\n")  # severity matrix
     loaded = verify_matrix_files([good])
     assert "good" in loaded
     bad = tmp_path / "bad.txt"
