@@ -13,17 +13,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from costbench.cli import suffixed, worker_count
+from costbench.cli import report, suffixed, worker_count
 from costbench.data import UCI_SPECS
-from costbench.harness import (
-    ABLATION_PRESETS,
-    aggregate,
-    apply_preset,
-    emit_table,
-    parse_config,
-    run_experiment,
-    write_rows_csv,
-)
+from costbench.harness import ABLATION_PRESETS, apply_preset, parse_config, run_experiment
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -49,14 +41,7 @@ def main() -> int:
             table_path = suffixed(table_path, args.preset)
         cfg = replace(cfg, workers=args.workers)
         print(f"RUN {cfg.dataset}: {cfg.n_seeds} seeds x {len(cfg.losses)} losses")
-        rows = run_experiment(cfg)
-        write_rows_csv(rows, rows_csv)
-        print(emit_table(aggregate(rows), cfg.table_format, table_path))
-        failed = [r for r in rows if r.failed]
-        if failed:
-            status = 1
-            for r in failed:
-                print(f"  cell failed: {r.loss}/seed {r.seed}: {r.failed}")
+        status |= report(run_experiment(cfg), cfg.table_format, rows_csv, table_path)
     return status
 
 

@@ -54,7 +54,7 @@ from .data import (
     sample_synthetic,
     subsample_and_split,
 )
-from .diagnostics import monte_carlo_bayes_csl, regret_profile
+from .diagnostics import embedding_regret_profile, monte_carlo_bayes_csl
 from .harness import ExperimentConfig, aggregate, emit_table, run_experiment
 
 __version__ = "0.1.0"

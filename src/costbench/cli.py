@@ -28,7 +28,7 @@ from .harness import (
 )
 
 
-def _report(rows, table_format: str, rows_path, table_path) -> int:
+def report(rows, table_format: str, rows_path, table_path) -> int:
     """Write the rows and the table, name every failed cell; 1 if any failed."""
     write_rows_csv(rows, rows_path)
     print(emit_table(aggregate(rows), table_format, table_path))
@@ -46,7 +46,7 @@ def _cmd_run(args) -> int:
     cfg = parse_config(args.config)
     if args.workers is not None:
         cfg = replace(cfg, workers=args.workers)
-    return _report(run_experiment(cfg), cfg.table_format, cfg.rows_csv, cfg.table_path)
+    return report(run_experiment(cfg), cfg.table_format, cfg.rows_csv, cfg.table_path)
 
 
 def suffixed(name, preset: str) -> Path:
@@ -56,8 +56,12 @@ def suffixed(name, preset: str) -> Path:
 
 
 def _cmd_ablate(args) -> int:
-    cfg = apply_preset(parse_config(args.config), args.preset)
-    return _report(run_experiment(cfg), cfg.table_format,
+    cfg = parse_config(args.config)
+    try:
+        cfg = apply_preset(cfg, args.preset)
+    except ConfigError as exc:  # a setting the preset turns on, e.g. mlp hidden_dims
+        raise ConfigError(f"{args.config}: {exc}") from exc
+    return report(run_experiment(cfg), cfg.table_format,
                    suffixed(cfg.rows_csv, args.preset),
                    suffixed(cfg.table_path, args.preset))
 

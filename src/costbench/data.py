@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import os
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -269,14 +270,19 @@ def load_uci(name: str) -> Dataset:
     if not rows:
         raise ValueError(f"{name}: no data rows in {raw_path}")
 
+    # The header sets the row width; without one, the most common row length
+    # does, so a short first row is dropped like any other incomplete row.
+    if header is not None:
+        n_cols = len(header)
+    else:
+        n_cols = Counter(map(len, rows)).most_common(1)[0][0]
     if isinstance(spec.label_column, int):
-        label_idx = spec.label_column % len(rows[0])
+        label_idx = spec.label_column % n_cols
     else:
         if header is None or spec.label_column not in header:
             raise ValueError(f"{name}: label column {spec.label_column!r} not found")
         label_idx = header.index(spec.label_column)
 
-    n_cols = len(rows[0])
     complete = [r for r in rows if len(r) == n_cols and _MISSING_TOKENS.isdisjoint(r)]
     if not complete:
         raise ValueError(f"{name}: every row was incomplete")

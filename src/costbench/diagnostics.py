@@ -1,9 +1,8 @@
-"""Numerical probes of calibration, minimizability, and decision geometry.
+"""Numerical probes of calibration, the Bayes cost, and decision geometry.
 
 These tools sample (label distribution, prediction) pairs and compare
 surrogate regret against target regret, estimate the lowest achievable cost
-on the synthetic task by Monte Carlo, measure how far a trained model's risk
-sits from the pointwise-optimal risk, and extract decision-boundary slopes
+on the synthetic task by Monte Carlo, and extract decision-boundary slopes
 from linear models trained on the synthetic task.
 """
 from __future__ import annotations
@@ -14,63 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import CostMatrix, simplex_grid
+from .costs import simplex_grid
 from .data import posterior_pos_many, sample_synthetic
 from .embedding import EmbeddingSurrogate, game_values, link_many, sample_predictions
-from .losses import log_softmax
-from .models import forward
-
-
-# ---------------------------------------------------------------------------
-# Conditional-risk adapters: risk of a prediction under p, and its minimum.
-# ---------------------------------------------------------------------------
-
-
-class EmbeddingRisk:
-    """Conditional surrogate risk for the polyhedral embedding."""
-
-    def __init__(self, surrogate: EmbeddingSurrogate):
-        self.surrogate = surrogate
-
-    def cond_risk(self, U: np.ndarray, p: np.ndarray) -> np.ndarray:
-        vals, _ = game_values(self.surrogate, U)
-        return vals - U @ p
-
-    def min_cond_risk(self, p: np.ndarray) -> float:
-        """Minimal conditional risk over all predictions.
-
-        The minimum over the embedded points, which the embedding property
-        makes sufficient.
-        """
-        return float(self.cond_risk(self.surrogate.phi, p).min())
-
-    def sampler(self):
-        return lambda n, rng: sample_predictions(self.surrogate, n, rng)
-
-
-class CrossEntropyRisk:
-    """Conditional cross-entropy risk; its minimum is the entropy of p."""
-
-    def __init__(self, n_labels: int):
-        self.n_labels = n_labels
-
-    def cond_risk(self, U: np.ndarray, p: np.ndarray) -> np.ndarray:
-        return -(log_softmax(U) @ p)
-
-    def min_cond_risk(self, p: np.ndarray) -> float:
-        q = p[p > 0]
-        return float(-(q * np.log(q)).sum())
-
-    def sampler(self):
-        return lambda n, rng: rng.normal(0.0, 2.0, size=(n, self.n_labels))
 
 
 @dataclass(frozen=True, eq=False)
 class RegretProfile:
-    """Sampled (surrogate regret, target regret) pairs for a loss/link pair."""
+    """Sampled (surrogate regret, target regret) pairs for the embedding
+    surrogate and its nearest-point link."""
 
-    loss_id: str
-    link_id: str
     p_points: np.ndarray       # (n, n_labels)
     u_points: np.ndarray       # (n, d)
     surrogate_regret: np.ndarray
@@ -97,63 +49,39 @@ class RegretProfile:
             values = np.column_stack(
                 [self.p_points, self.u_points, self.surrogate_regret, self.target_regret]
             )
-            w.writerows([self.loss_id, self.link_id, *row] for row in values.tolist())
-
-
-def regret_profile(
-    risk,
-    link_fn,
-    cost: CostMatrix,
-    p_grid_res: float = 0.05,
-    n_u: int = 200,
-    seed: int = 0,
-    loss_id: str = "loss",
-    link_id: str = "link",
-) -> RegretProfile:
-    """Sample surrogate/target regret pairs over a simplex grid of p's.
-
-    risk provides cond_risk(U, p) and min_cond_risk(p); link_fn maps a batch
-    of predictions to report indices. Predictions come from risk.sampler().
-    """
-    rng = np.random.default_rng(seed)
-    u_sampler = risk.sampler()
-    grid = simplex_grid(cost.n_labels, p_grid_res)
-    rows = cost.entries
-    all_p, all_u, s_reg, t_reg = [], [], [], []
-    for p in grid:
-        U = u_sampler(n_u, rng)
-        c_star = risk.min_cond_risk(p)
-        s_r = risk.cond_risk(U, p) - c_star
-        reports = link_fn(U)
-        target_costs = rows @ p
-        t_r = target_costs[reports] - target_costs.min()
-        all_p.append(np.repeat(p[None, :], n_u, axis=0))
-        all_u.append(U)
-        s_reg.append(s_r)
-        t_reg.append(t_r)
-    return RegretProfile(
-        loss_id=loss_id,
-        link_id=link_id,
-        p_points=np.concatenate(all_p),
-        u_points=np.concatenate(all_u),
-        surrogate_regret=np.concatenate(s_reg),
-        target_regret=np.concatenate(t_reg),
-    )
+            w.writerows(["embedding", "nearest-point", *row] for row in values.tolist())
 
 
 def embedding_regret_profile(
     s: EmbeddingSurrogate, p_grid_res: float = 0.05, n_u: int = 200, seed: int = 0
 ) -> RegretProfile:
-    risk = EmbeddingRisk(s)
-    return regret_profile(
-        risk,
-        lambda U: link_many(s, U),
-        s.cost,
-        p_grid_res=p_grid_res,
-        n_u=n_u,
-        seed=seed,
-        loss_id="embedding",
-        link_id="nearest-point",
+    """Sample surrogate/target regret pairs over a simplex grid of p's.
+
+    At each grid point p, n_u predictions u are drawn around the embedded
+    points. The surrogate's conditional risk there is G(u) - <u, p>; its
+    minimum over all u is attained at an embedded point (the embedding
+    property), so the regret subtracts the minimum over phi. The target
+    regret is the excess expected cost of the linked report.
+    """
+    rng = np.random.default_rng(seed)
+    rows = s.cost.entries
+    g_phi = game_values(s, s.phi)[0]
+    all_p, all_u, s_reg, t_reg = [], [], [], []
+    for p in simplex_grid(s.n_labels, p_grid_res):
+        U = sample_predictions(s, n_u, rng)
+        c_star = float((g_phi - s.phi @ p).min())
+        s_r = game_values(s, U)[0] - U @ p - c_star
+        reports = link_many(s, U)
+        costs = rows @ p
+        all_p.append(np.repeat(p[None, :], n_u, axis=0))
+        all_u.append(U)
+        s_reg.append(s_r)
+        t_reg.append(costs[reports] - costs.min())
+    return RegretProfile(
+        p_points=np.concatenate(all_p),
+        u_points=np.concatenate(all_u),
+        surrogate_regret=np.concatenate(s_reg),
+        target_regret=np.concatenate(t_reg),
     )
 
 
@@ -187,44 +115,6 @@ def monte_carlo_bayes_csl(
         value=float(vals.mean()),
         stderr=float(vals.std(ddof=1) / np.sqrt(n)),
         n=n,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Minimizability gap: trained in-class risk vs pointwise-optimal risk.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GapEstimate:
-    gap: float
-    stderr: float
-    in_class_risk: float
-    pointwise_risk: float
-
-
-def minimizability_gap(
-    trained_model,
-    risk,
-    features: np.ndarray,
-    posteriors: np.ndarray,
-) -> GapEstimate:
-    """Mean conditional-risk excess of a trained model over the pointwise optimum.
-
-    posteriors[i] is the exact label distribution at features[i]; both risks
-    are conditional expectations, so the per-point excess is nonnegative and
-    the gap estimate cannot dip below zero up to estimator noise.
-    """
-    scores = forward(trained_model.params, features)
-    U = trained_model.loss.link_input(scores)
-    cond = np.array([risk.cond_risk(u[None, :], p)[0] for u, p in zip(U, posteriors)])
-    best = np.array([risk.min_cond_risk(p) for p in posteriors])
-    per_point = cond - best
-    return GapEstimate(
-        gap=float(per_point.mean()),
-        stderr=float(per_point.std(ddof=1) / np.sqrt(len(per_point))),
-        in_class_risk=float(cond.mean()),
-        pointwise_risk=float(best.mean()),
     )
 
 

@@ -89,6 +89,9 @@ class ExperimentConfig:
             raise ConfigError(f"losses name a loss more than once: {self.losses}")
         if self.model_kind not in ("linear", "mlp"):
             raise ConfigError(f"unknown model kind {self.model_kind!r}")
+        if self.model_kind == "mlp" and (not self.hidden_dims or min(self.hidden_dims) < 1):
+            raise ConfigError("[model] hidden_dims must name one or more positive "
+                              f"widths for an mlp, got {self.hidden_dims}")
         if self.selection not in ("val_loss", "val_csl"):
             raise ConfigError("selection must be val_loss or val_csl")
         try:

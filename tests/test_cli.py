@@ -215,15 +215,20 @@ def test_reproduce_tables_bad_workers_flag_exits_2(tmp_path):
     assert "--workers" in res.stderr
 
 
-def test_reproduce_tables_preset_writes_suffixed_outputs(tmp_path, monkeypatch):
-    # A preset run keeps the main tables, as `costbench ablate` does.
+def _load_reproduce_tables():
     import importlib.util
-
-    from costbench.harness import ResultRow
 
     spec = importlib.util.spec_from_file_location("reproduce_tables", REPRODUCE_TABLES)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_reproduce_tables_preset_writes_suffixed_outputs(tmp_path, monkeypatch):
+    # A preset run keeps the main tables, as `costbench ablate` does.
+    from costbench.harness import ResultRow
+
+    script = _load_reproduce_tables()
     row = ResultRow("synthetic", "cross_entropy", 0, 0.5, 0.5, 0.1, 0.1, 0.1)
     monkeypatch.setattr(script, "run_experiment", lambda cfg: [row])
     monkeypatch.setenv("COSTBENCH_DATA_DIR", str(tmp_path / "data"))
@@ -232,3 +237,21 @@ def test_reproduce_tables_preset_writes_suffixed_outputs(tmp_path, monkeypatch):
     assert script.main() == 0
     assert (tmp_path / "results/synthetic_rows_mlp.csv").exists()
     assert not (tmp_path / "results/synthetic_rows.csv").exists()
+
+
+def test_reproduce_tables_names_failed_cells(tmp_path, monkeypatch, capsys):
+    # The script shares run's output path: a failed cell is named on stderr.
+    from costbench.harness import ResultRow
+
+    script = _load_reproduce_tables()
+    nan = float("nan")
+    row = ResultRow("synthetic", "cross_entropy", 1, nan, None, nan, nan, nan,
+                    failed="diverged at epoch 7")
+    monkeypatch.setattr(script, "run_experiment", lambda cfg: [row])
+    monkeypatch.setenv("COSTBENCH_DATA_DIR", str(tmp_path / "data"))
+    monkeypatch.setattr(sys, "argv", ["reproduce_tables.py"])
+    monkeypatch.chdir(tmp_path)
+    assert script.main() == 1
+    err = capsys.readouterr().err
+    assert "cell failed: synthetic/cross_entropy/seed 1: diverged at epoch 7" in err
+    assert (tmp_path / "results/synthetic_rows.csv").exists()

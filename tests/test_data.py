@@ -356,6 +356,30 @@ def test_incomplete_rows_dropped(tmp_path, monkeypatch):
     assert ds.labels.tolist() == [0, 2, 1, 0]  # the incomplete class-1 row is gone
 
 
+def test_short_first_row_dropped(tmp_path, monkeypatch):
+    # The header, not the first data row, sets the row width.
+    root = tmp_path / "data"
+    d = root / "diabetes"
+    d.mkdir(parents=True)
+    rows = ["1.0,1.0,30.0"] + DIABETES_ROWS
+    (d / "raw.csv").write_text(DIABETES_HEADER + "\n" + "\n".join(rows) + "\n")
+    monkeypatch.setenv("COSTBENCH_DATA_DIR", str(root))
+    with pytest.warns(UserWarning):
+        ds = load_uci("diabetes")
+    assert ds.labels.tolist() == [0, 2, 1, 0]
+
+
+def test_headerless_short_first_row_dropped(german_dir):
+    # Without a header the most common row length sets the width.
+    first = GERMAN_ROWS[0].split()
+    rows = [" ".join(first[:1] + first[2:])] + GERMAN_ROWS[1:]  # one field short
+    (german_dir / "raw.data").write_text("\n".join(rows) + "\n")
+    with pytest.warns(UserWarning):
+        ds = load_uci("german_credit")
+    assert ds.labels.tolist() == [1, 0, 0, 1, 0]
+    assert ds.n_features == _feature_layout([r.split()[:-1] for r in GERMAN_ROWS[1:]])[1]
+
+
 def test_non_integer_label_code_rejected(tmp_path, monkeypatch):
     root = tmp_path / "data"
     d = root / "diabetes"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,56 +7,44 @@ import pytest
 from costbench.costs import (
     binary_alpha_matrix,
     severity_three_class_matrix,
-    synthetic_cost_matrix,
     zero_one_matrix,
 )
-from costbench.data import posterior_pos_many, sample_synthetic
 from costbench.diagnostics import (
-    CrossEntropyRisk,
-    EmbeddingRisk,
     boundary_slope,
     embedding_regret_profile,
-    minimizability_gap,
     monte_carlo_bayes_csl,
     optimal_boundary_slope,
-    regret_profile,
     render_scatter_svg,
 )
-from costbench.embedding import build_embedding_surrogate
+from costbench.embedding import build_embedding_surrogate, game_values
 from costbench.losses import BoundLoss, LossSpec
-from costbench.models import ModelSpec, TrainConfig, TrainedModel, train
+from costbench.models import ModelSpec, TrainedModel
 
 ALPHA6 = binary_alpha_matrix(1 / 6)
 
 
-# --- conditional risk adapters ------------------------------------------------
+# --- conditional surrogate risk ---------------------------------------------------
 
 
 def test_embedding_risk_minimum_is_bayes_risk():
     from costbench.costs import SimplexDist, expected_costs
 
     s = build_embedding_surrogate(severity_three_class_matrix())
-    risk = EmbeddingRisk(s)
+
+    def cond_risk(U, p):
+        return game_values(s, U)[0] - U @ p
+
     rng = np.random.default_rng(0)
     span = max(s.phi.max() - s.phi.min(), 1.0)
     for _ in range(10):
         p = rng.dirichlet(np.ones(3))
         want = expected_costs(s.cost, SimplexDist(p)).min()
-        best = risk.min_cond_risk(p)
+        best = float(cond_risk(s.phi, p).min())
         assert best == pytest.approx(want, abs=1e-9)
         # No local perturbation of an embedded point does better.
         local = s.phi[:, None, :] + rng.uniform(-0.5 * span, 0.5 * span,
                                                 size=(3, 200, 3))
-        assert risk.cond_risk(local.reshape(-1, 3), p).min() >= best - 1e-9
-
-
-def test_cross_entropy_risk_minimum_is_entropy():
-    risk = CrossEntropyRisk(3)
-    p = np.array([0.2, 0.5, 0.3])
-    want = -(p * np.log(p)).sum()
-    assert risk.min_cond_risk(p) == pytest.approx(want, abs=1e-12)
-    # And the conditional risk at the log-probability scores attains it.
-    assert risk.cond_risk(np.log(p)[None, :], p)[0] == pytest.approx(want, abs=1e-12)
+        assert cond_risk(local.reshape(-1, 3), p).min() >= best - 1e-9
 
 
 # --- regret profiles ------------------------------------------------------------
@@ -81,34 +70,12 @@ def test_embedding_profile_no_cheap_errors():
         assert not bad.any()
 
 
-def test_cross_entropy_profile_calibrated_for_zero_one():
-    cost = zero_one_matrix(2)
-    risk = CrossEntropyRisk(2)
-    profile = regret_profile(
-        risk,
-        lambda U: np.argmax(U, axis=1),
-        cost,
-        p_grid_res=0.05,
-        n_u=150,
-        seed=2,
-        loss_id="cross_entropy",
-        link_id="argmax",
-    )
-    for eps in (0.2, 0.1, 0.05):
-        assert profile.calibration_floor(eps) > 0
-
-
 def test_constant_link_not_calibrated():
     s = build_embedding_surrogate(ALPHA6)
-    risk = EmbeddingRisk(s)
-    profile = regret_profile(
-        risk,
-        lambda U: np.zeros(len(U), dtype=int),  # always report -1
-        ALPHA6,
-        p_grid_res=0.05,
-        n_u=100,
-        seed=3,
-    )
+    profile = embedding_regret_profile(s, 0.05, 100, seed=3)
+    # Replace the link by one that always reports -1 (report 0).
+    costs = profile.p_points @ ALPHA6.entries.T
+    profile = dataclasses.replace(profile, target_regret=costs[:, 0] - costs.min(axis=1))
     # Zero surrogate regret with large target regret is witnessed.
     floor = profile.calibration_floor(0.1)
     assert floor <= 1e-9
@@ -150,61 +117,6 @@ def test_monte_carlo_scale_linearity():
 def test_monte_carlo_rejects_empty():
     with pytest.raises(ValueError):
         monte_carlo_bayes_csl(0.5, 0)
-
-
-# --- minimizability gap ----------------------------------------------------------
-
-
-def _posteriors_for(features):
-    eta = posterior_pos_many(features)
-    return np.column_stack([1 - eta, eta])
-
-
-def test_gap_small_for_realizable_logistic(rng):
-    # Ground truth IS a linear logistic model: the in-class CE fit closes the gap.
-    n = 4000
-    x = rng.normal(size=(n, 2))
-    w_true = np.array([1.5, -2.0])
-    eta = 1.0 / (1.0 + np.exp(-(x @ w_true)))
-    y = (rng.random(n) < eta).astype(int)
-    loss = BoundLoss(LossSpec("cross_entropy", ALPHA6))
-    model = train(ModelSpec(2, 2, init_seed=0), loss,
-                  (x[:3000], y[:3000]), (x[3000:], y[3000:]),
-                  TrainConfig(learning_rate=0.5, n_epochs=3000))
-    risk = CrossEntropyRisk(2)
-    posts = np.column_stack([1 - eta, eta])
-    est = minimizability_gap(model, risk, x[:800], posts[:800])
-    assert est.gap >= -3 * est.stderr
-    assert est.gap < 0.01
-
-
-def test_gap_positive_for_raw_embedding_on_synthetic():
-    # Raw linear outputs cannot express the piecewise-constant minimizer.
-    ds = sample_synthetic(3000, rng_seed=5)
-    x, y = ds.features, ds.labels
-    cost = synthetic_cost_matrix(1 / 6)
-    loss = BoundLoss(LossSpec("embedding", cost))
-    model = train(ModelSpec(2, 2, init_seed=1), loss,
-                  (x[:2400], y[:2400]), (x[2400:], y[2400:]),
-                  TrainConfig(learning_rate=1.0, n_epochs=2000))
-    risk = EmbeddingRisk(loss.surrogate)
-    posts = _posteriors_for(x[:600])
-    est = minimizability_gap(model, risk, x[:600], posts[:600])
-    assert est.gap > 0.02
-    assert est.gap >= -3 * est.stderr
-
-
-def test_gap_never_negative():
-    ds = sample_synthetic(500, rng_seed=6)
-    x, y = ds.features, ds.labels
-    loss = BoundLoss(LossSpec("cross_entropy", ALPHA6))
-    model = train(ModelSpec(2, 2, init_seed=2), loss,
-                  (x[:300], y[:300]), (x[300:400], y[300:400]),
-                  TrainConfig(learning_rate=0.5, n_epochs=200))
-    risk = CrossEntropyRisk(2)
-    posts = _posteriors_for(x[400:])
-    est = minimizability_gap(model, risk, x[400:], posts)
-    assert est.gap >= 0.0  # conditional-risk excess is pointwise nonnegative
 
 
 # --- boundary geometry ------------------------------------------------------------

@@ -240,6 +240,24 @@ def test_config_rejects_bad_train_and_postprocess_values(tmp_path, capsys):
         ExperimentConfig(n_epochs=0)
 
 
+@pytest.mark.parametrize("widths", ["", "4, 0"])
+def test_config_rejects_mlp_without_positive_hidden_widths(tmp_path, capsys, widths):
+    # An empty list would train a linear model; a zero width would fail only
+    # in the first cell, with a message that names neither file nor key.
+    from costbench.cli import main
+
+    path = tmp_path / "mlp.cfg"
+    path.write_text(f"[model]\nkind = mlp\nhidden_dims = {widths}\n")
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: [model] hidden_dims")):
+        parse_config(path)
+    assert main(["run", str(path)]) == 2
+    assert f"{path}: [model] hidden_dims" in capsys.readouterr().err
+    linear = tmp_path / "linear.cfg"
+    linear.write_text(f"[model]\nkind = linear\nhidden_dims = {widths}\n")
+    assert main(["ablate", "mlp", str(linear)]) == 2
+    assert f"{linear}: [model] hidden_dims" in capsys.readouterr().err
+
+
 def test_preset_application():
     cfg = ExperimentConfig(dataset="synthetic", n_samples=500)
     full = apply_preset(cfg, "full_data")

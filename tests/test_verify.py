@@ -3,7 +3,12 @@ import hashlib
 import numpy as np
 import pytest
 
-from costbench.costs import CostMatrix, severity_three_class_matrix, stock_matrices
+from costbench.costs import (
+    CostMatrix,
+    severity_three_class_matrix,
+    stock_matrices,
+    zero_one_matrix,
+)
 from costbench.diagnostics import embedding_regret_profile
 from costbench.embedding import build_embedding_surrogate, link_many, sample_predictions
 from costbench.verify import run_verify, verify_matrix_files
@@ -71,6 +76,30 @@ def test_verify_side_bytes_pinned(tmp_path):
     path = tmp_path / "regret_profile.csv"
     embedding_regret_profile(s, 0.05, 100, seed=0).export_csv(path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == REGRET_PROFILE_SHA256
+
+
+# sha256 of the regret-profile CSV at (0.1, 50, seed 0) on every stock matrix
+# and a 4-label zero-one matrix: guards the 3- and 4-label and deferral
+# arithmetic, which the german_credit digest above does not reach.
+MATRIX_REGRET_PROFILE_SHA256 = {
+    "binary_alpha_1_6": "5e5ce152676e7e9ac3f1a488aee0f20f0f2dd62c59605fc6e6c8e35796ddba9c",
+    "binary_alpha_1_4": "2b5c556da124afab0ee75f6d404bb931e76984d1afdb0258df6f51f140df12ce",
+    "zero_one_binary": "61ab3a5263b7b3a8575788e633c75ab480e2951a6e65d8e776418ea1e69c8bea",
+    "zero_one_three_class": "9cc53062243d562528a36e4500e078f0a9db881d3fbf50ff8d5ed7ba58439d71",
+    "german_credit": "051cc4f6aadb9e3cf8f13886c6fca5ddf1e46efe7512b3494464a82c0cbe4562",
+    "german_credit_deferral": "325b46f47b5d61f9ba61e46e9685307e244e00ccd1a360537c1b617fe12ca56e",
+    "severity_three_class": "fa0d2db5ec55cce7d5f3e42be3fd3595c62dec6d93f93eac4242ba38e2397fe5",
+    "zero_one_4": "f08b7d14726fecba713368082febf07849547962789e2ce51170aec3b7dd3b7c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MATRIX_REGRET_PROFILE_SHA256))
+def test_regret_profile_bytes_pinned_per_matrix(name, tmp_path):
+    matrices = {**stock_matrices(), "zero_one_4": zero_one_matrix(4)}
+    s = build_embedding_surrogate(matrices[name])
+    path = tmp_path / "regret_profile.csv"
+    embedding_regret_profile(s, 0.1, 50, seed=0).export_csv(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == MATRIX_REGRET_PROFILE_SHA256[name]
 
 
 # sha256 of the fast suite's PASS/FAIL lines without their timings: every
