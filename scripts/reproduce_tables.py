@@ -15,18 +15,20 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from costbench.cli import report, suffixed, worker_count
 from costbench.data import UCI_SPECS
-from costbench.harness import ABLATION_PRESETS, apply_preset, parse_config, run_experiment
+from costbench.harness import (
+    ABLATION_PRESETS,
+    ConfigError,
+    apply_preset,
+    parse_config,
+    run_experiment,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser()
-    parser.add_argument("--preset", choices=ABLATION_PRESETS, default=None)
-    parser.add_argument("--workers", type=worker_count, default=2)
-    args = parser.parse_args()
-
-    status = 0
+def _plan(preset, workers):
+    """(config, rows path, table path) of each config whose data is present."""
+    plans = []
     for cfg_path in sorted(CONFIG_DIR.glob("*.cfg")):
         cfg = parse_config(cfg_path)
         if cfg.dataset != "synthetic":
@@ -35,11 +37,30 @@ def main() -> int:
                 print(f"SKIP {cfg.dataset}: {raw} missing (fetch_uci.py)")
                 continue
         rows_csv, table_path = cfg.rows_csv, cfg.table_path
-        if args.preset:
-            cfg = apply_preset(cfg, args.preset)
-            rows_csv = suffixed(rows_csv, args.preset)
-            table_path = suffixed(table_path, args.preset)
-        cfg = replace(cfg, workers=args.workers)
+        if preset:
+            try:
+                cfg = apply_preset(cfg, preset)
+            except ConfigError as exc:
+                raise ConfigError(f"{cfg_path}: {exc}") from exc
+            rows_csv = suffixed(rows_csv, preset)
+            table_path = suffixed(table_path, preset)
+        plans.append((replace(cfg, workers=workers), rows_csv, table_path))
+    return plans
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--preset", choices=ABLATION_PRESETS, default=None)
+    parser.add_argument("--workers", type=worker_count, default=2)
+    args = parser.parse_args()
+
+    try:
+        plans = _plan(args.preset, args.workers)
+    except ConfigError as exc:  # every config is read before any cell trains
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    status = 0
+    for cfg, rows_csv, table_path in plans:
         print(f"RUN {cfg.dataset}: {cfg.n_seeds} seeds x {len(cfg.losses)} losses")
         status |= report(run_experiment(cfg), cfg.table_format, rows_csv, table_path)
     return status

@@ -8,7 +8,6 @@ benchmark tables end to end.
 
 from .costs import (
     CostMatrix,
-    ConfusionMatrix,
     SimplexDist,
     accuracy,
     bayes_optimal_reports,
@@ -33,7 +32,6 @@ from .embedding import (
 )
 from .losses import (
     BoundLoss,
-    LossSpec,
     class_weights,
     postprocess_search,
 )
@@ -49,7 +47,6 @@ from .models import (
 )
 from .data import (
     Dataset,
-    SplitIndices,
     load_uci,
     sample_synthetic,
     subsample_and_split,

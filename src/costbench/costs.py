@@ -77,26 +77,6 @@ class SimplexDist:
         return self.probs.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class ConfusionMatrix:
-    """Counts of (predicted report, true label) pairs."""
-
-    counts: np.ndarray
-
-    def __post_init__(self):
-        c = np.array(self.counts)
-        if c.ndim != 2:
-            raise ValueError("confusion counts must be 2-dimensional")
-        if np.any(c < 0) or not np.issubdtype(c.dtype, np.integer):
-            raise ValueError("confusion counts must be nonnegative integers")
-        c.setflags(write=False)
-        object.__setattr__(self, "counts", c)
-
-    @property
-    def n_samples(self) -> int:
-        return int(self.counts.sum())
-
-
 def _check_dist(cost: CostMatrix, p: SimplexDist) -> np.ndarray:
     if p.n_labels != cost.n_labels:
         raise ValueError(
@@ -119,8 +99,8 @@ def bayes_optimal_reports(
     return tuple(int(r) for r in np.flatnonzero(costs <= best + tie_eps))
 
 
-def confusion(preds, labels, n_reports: int, n_labels: int) -> ConfusionMatrix:
-    """Count (prediction, label) pairs into a reports x labels matrix."""
+def confusion(preds, labels, n_reports: int, n_labels: int) -> np.ndarray:
+    """Read-only int64 counts of (prediction, label) pairs, reports x labels."""
     preds = np.asarray(preds, dtype=int)
     labels = np.asarray(labels, dtype=int)
     if preds.shape != labels.shape or preds.ndim != 1:
@@ -131,29 +111,30 @@ def confusion(preds, labels, n_reports: int, n_labels: int) -> ConfusionMatrix:
         raise ValueError("label index out of range")
     counts = np.zeros((n_reports, n_labels), dtype=np.int64)
     np.add.at(counts, (preds, labels), 1)
-    return ConfusionMatrix(counts)
+    counts.setflags(write=False)
+    return counts
 
 
-def cost_sensitive_loss(cm: ConfusionMatrix, cost: CostMatrix) -> float:
+def cost_sensitive_loss(counts: np.ndarray, cost: CostMatrix) -> float:
     """Mean per-sample cost: sum of counts * costs divided by the sample count."""
-    if cm.counts.shape != cost.entries.shape:
+    if counts.shape != cost.entries.shape:
         raise ValueError(
-            f"confusion shape {cm.counts.shape} != cost shape {cost.entries.shape}"
+            f"confusion shape {counts.shape} != cost shape {cost.entries.shape}"
         )
-    n = cm.n_samples
+    n = int(counts.sum())
     if n == 0:
         raise ValueError("cost-sensitive loss undefined on zero samples")
-    return float((cm.counts * cost.entries).sum() / n)
+    return float((counts * cost.entries).sum() / n)
 
 
-def accuracy(cm: ConfusionMatrix) -> float:
+def accuracy(counts: np.ndarray) -> float:
     """Fraction of correct predictions; requires reports aligned with labels."""
-    if cm.counts.shape[0] != cm.counts.shape[1]:
+    if counts.shape[0] != counts.shape[1]:
         raise ValueError("accuracy requires a square confusion matrix")
-    n = cm.n_samples
+    n = int(counts.sum())
     if n == 0:
         raise ValueError("accuracy undefined on zero samples")
-    return float(np.trace(cm.counts) / n)
+    return float(np.trace(counts) / n)
 
 
 def simplex_grid(n_labels: int, resolution: float) -> np.ndarray:

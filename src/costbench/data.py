@@ -62,18 +62,6 @@ class Dataset:
         return self.features.shape[1]
 
 
-@dataclass(frozen=True, eq=False)
-class SplitIndices:
-    train: np.ndarray
-    val: np.ndarray
-    test: np.ndarray
-
-    def __post_init__(self):
-        sets = [set(map(int, s)) for s in (self.train, self.val, self.test)]
-        if sets[0] & sets[1] or sets[0] & sets[2] or sets[1] & sets[2]:
-            raise ValueError("splits must be disjoint")
-
-
 def split_xy(ds: Dataset, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ds.features[idx], ds.labels[idx]
 
@@ -352,15 +340,17 @@ def split_sizes(n: int) -> tuple[int, int, int]:
     return n_train, n_val, n - n_train - n_val
 
 
-def subsample_and_split(ds: Dataset, n: int, seed: int = 0) -> SplitIndices:
-    """Seed-deterministic subsample of n rows, then a train/val/test split."""
+def subsample_and_split(
+    ds: Dataset, n: int, seed: int = 0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Seed-deterministic subsample of n rows, then train, val and test indices.
+
+    The three index arrays are disjoint: they are slices of one draw without
+    replacement.
+    """
     if n > len(ds):
         raise ValueError(f"cannot subsample {n} rows from {len(ds)}")
     rng = np.random.default_rng(seed)
     chosen = rng.choice(len(ds), size=n, replace=False)
     n_train, n_val, _ = split_sizes(n)
-    return SplitIndices(
-        train=chosen[:n_train],
-        val=chosen[n_train : n_train + n_val],
-        test=chosen[n_train + n_val :],
-    )
+    return chosen[:n_train], chosen[n_train : n_train + n_val], chosen[n_train + n_val :]

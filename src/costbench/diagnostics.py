@@ -125,13 +125,12 @@ def monte_carlo_bayes_csl(
 
 @dataclass(frozen=True)
 class SlopeReport:
-    label: str
     slope: float            # d x1 / d x2 along the decision boundary
     offset: float           # x1-intercept of the boundary
     degenerate: bool        # near-zero x1 coefficient: boundary is unbounded
 
 
-def boundary_slope(model, label: str = "") -> SlopeReport:
+def boundary_slope(model) -> SlopeReport:
     """Decision-boundary slope of a linear model on two features.
 
     For a two-output head the boundary is where the score gap vanishes:
@@ -153,9 +152,8 @@ def boundary_slope(model, label: str = "") -> SlopeReport:
         raise ValueError("slope extraction expects a 1- or 2-output head")
     norm = np.linalg.norm(gap_w)
     if abs(gap_w[0]) < 1e-6 * max(norm, 1e-30):
-        return SlopeReport(label, math.inf, math.inf, True)
+        return SlopeReport(math.inf, math.inf, True)
     return SlopeReport(
-        label,
         slope=float(-gap_w[1] / gap_w[0]),
         offset=float(-gap_b / gap_w[0]),
         degenerate=False,

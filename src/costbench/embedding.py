@@ -34,7 +34,6 @@ class EmbeddingSurrogate:
     phi: np.ndarray                     # (n_reports, n_labels), phi(r) = -l_r
     representative_set: tuple[int, ...]
     alpha_sep: float
-    warnings: tuple[str, ...] = ()
     # Vertices (p, t) of the game polytope; G(u) = max(verts_p @ u + verts_t).
     verts_p: np.ndarray = field(default=None, repr=False)
     verts_t: np.ndarray = field(default=None, repr=False)
@@ -170,7 +169,7 @@ def build_embedding_surrogate(
     """Construct the polyhedral surrogate embedding a cost matrix.
 
     Duplicate cost rows are collapsed into a single representative report
-    (recorded as a warning). alpha_sep defaults to a quarter of the minimum
+    (recorded in report_class). alpha_sep defaults to a quarter of the minimum
     pairwise shift-invariant gap between embedded points. That is not the
     link's separation radius. A local search finds mislinked points at
     1/(2(k - 1)) on zero_one(k), so the default is too large for k >= 4, and
@@ -180,7 +179,6 @@ def build_embedding_surrogate(
     rows = cost.entries
     reps: list[int] = []
     report_class: list[int] = []
-    warnings: list[str] = []
     for r in range(cost.n_reports):
         match = next((s for s in reps if np.array_equal(rows[s], rows[r])), None)
         if match is None:
@@ -188,9 +186,6 @@ def build_embedding_surrogate(
             report_class.append(r)
         else:
             report_class.append(match)
-            warnings.append(
-                f"report {r} duplicates report {match}; collapsed into one"
-            )
     phi = -rows
     rep_phi = phi[reps]
     plain_gap = min_pairwise_gap(rep_phi, quotient=False)
@@ -213,7 +208,6 @@ def build_embedding_surrogate(
         phi=_freeze(phi),
         representative_set=tuple(reps),
         alpha_sep=float(alpha_sep),
-        warnings=tuple(warnings),
         verts_p=_freeze(verts_p),
         verts_t=_freeze(verts_t),
         report_class=tuple(report_class),

@@ -23,7 +23,7 @@ import numpy as np
 from . import data as data_mod
 from .costs import CostMatrix, confusion, cost_sensitive_loss, synthetic_cost_matrix
 from .diagnostics import boundary_slope
-from .losses import LOSS_KINDS, BoundLoss, LossSpec, postprocess_search
+from .losses import LOSS_KINDS, BoundLoss, check_loss, postprocess_search
 from .models import ModelSpec, TrainConfig, TrainingDiverged, evaluate, forward, train
 from .seeding import mix_seed
 
@@ -67,33 +67,36 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.dataset not in DATASET_NAMES:
-            raise ConfigError(f"unknown dataset {self.dataset!r}")
+            raise ConfigError(f"[experiment] dataset {self.dataset!r} is not one of "
+                              f"{DATASET_NAMES}")
         if self.dataset != "synthetic" and self.alpha != SYNTHETIC_ALPHA:
             raise ConfigError(
-                f"alpha applies to the synthetic dataset only; {self.dataset} "
+                f"[experiment] alpha applies to the synthetic dataset only; {self.dataset} "
                 f"trains on its own cost matrix (got alpha={self.alpha!r})"
             )
         if self.n_seeds < 1:
-            raise ConfigError("n_seeds must be >= 1")
+            raise ConfigError(f"[experiment] n_seeds must be >= 1, got {self.n_seeds!r}")
         if self.workers < 1:
             raise ConfigError(f"[experiment] workers must be >= 1, got {self.workers!r}")
         if min(sizes := data_mod.split_sizes(self.n_samples)) < 1:
             raise ConfigError(f"[experiment] n_samples = {self.n_samples} leaves a split "
                               f"empty under fractions {data_mod.SPLIT_FRACTIONS}: {sizes}")
         if not self.losses:
-            raise ConfigError("losses must name at least one loss")
+            raise ConfigError("[experiment] losses must name at least one loss")
         for label in self.losses:
             if label not in LOSS_LABELS:
-                raise ConfigError(f"unknown loss label {label!r}")
+                raise ConfigError(f"[experiment] losses: {label!r} is not one of "
+                                  f"{LOSS_LABELS}")
         if len(set(self.losses)) != len(self.losses):
-            raise ConfigError(f"losses name a loss more than once: {self.losses}")
+            raise ConfigError(f"[experiment] losses name a loss more than once: {self.losses}")
         if self.model_kind not in ("linear", "mlp"):
-            raise ConfigError(f"unknown model kind {self.model_kind!r}")
+            raise ConfigError(f"[model] kind must be linear or mlp, got {self.model_kind!r}")
         if self.model_kind == "mlp" and (not self.hidden_dims or min(self.hidden_dims) < 1):
             raise ConfigError("[model] hidden_dims must name one or more positive "
                               f"widths for an mlp, got {self.hidden_dims}")
         if self.selection not in ("val_loss", "val_csl"):
-            raise ConfigError("selection must be val_loss or val_csl")
+            raise ConfigError(f"[train] selection must be val_loss or val_csl, "
+                              f"got {self.selection!r}")
         try:
             TrainConfig(self.effective_learning_rate, self.n_epochs)
         except ValueError as exc:
@@ -105,13 +108,13 @@ class ExperimentConfig:
         try:
             cost = _dataset_cost_matrix(self.dataset, self.alpha)
         except ValueError as exc:
-            raise ConfigError(f"bad alpha {self.alpha!r}: {exc}") from exc
+            raise ConfigError(f"[experiment] alpha {self.alpha!r}: {exc}") from exc
         for label in self.losses:
             try:
-                _loss_spec(label, cost)
+                check_loss(_loss_kind(label, cost), cost)
             except ValueError as exc:
                 raise ConfigError(
-                    f"losses: {label} cannot train on the {self.dataset} "
+                    f"[experiment] losses: {label} cannot train on the {self.dataset} "
                     f"cost matrix: {exc}"
                 ) from exc
 
@@ -165,23 +168,38 @@ def write_rows_csv(rows: list[ResultRow], path) -> None:
             w.writerow([_fmt(getattr(r, f)) for f in ROW_FIELDS])
 
 
+def _float_or_nan(text: str) -> float:
+    return float(text) if text else float("nan")
+
+
 def read_rows_csv(path) -> list[ResultRow]:
+    """Rows of a rows CSV; a missing column or a bad value raises ValueError
+    naming the file (and the line)."""
     rows = []
     with open(path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            rows.append(
-                ResultRow(
-                    dataset=rec["dataset"],
-                    loss=rec["loss"],
-                    seed=int(rec["seed"]),
-                    csl=float(rec["csl"]) if rec["csl"] else float("nan"),
-                    accuracy=float(rec["accuracy"]) if rec["accuracy"] else None,
-                    train_loss=float(rec["train_loss"]) if rec["train_loss"] else float("nan"),
-                    val_loss=float(rec["val_loss"]) if rec["val_loss"] else float("nan"),
-                    test_loss=float(rec["test_loss"]) if rec["test_loss"] else float("nan"),
-                    failed=rec.get("failed", "") or "",
+        reader = csv.DictReader(fh)
+        missing = [f for f in ROW_FIELDS if f not in (reader.fieldnames or ROW_FIELDS)]
+        if missing:
+            raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
+        for rec in reader:
+            try:
+                if None in rec or None in rec.values():  # a long or a short row
+                    raise ValueError(f"expected {len(reader.fieldnames)} fields")
+                rows.append(
+                    ResultRow(
+                        dataset=rec["dataset"],
+                        loss=rec["loss"],
+                        seed=int(rec["seed"]),
+                        csl=_float_or_nan(rec["csl"]),
+                        accuracy=float(rec["accuracy"]) if rec["accuracy"] else None,
+                        train_loss=_float_or_nan(rec["train_loss"]),
+                        val_loss=_float_or_nan(rec["val_loss"]),
+                        test_loss=_float_or_nan(rec["test_loss"]),
+                        failed=rec["failed"],
+                    )
                 )
-            )
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
     return rows
 
 
@@ -279,17 +297,18 @@ def load_dataset(cfg: ExperimentConfig, split_seed: int):
     return ds, cost, splits
 
 
-def _loss_spec(label: str, cost: CostMatrix) -> LossSpec:
+def _loss_kind(label: str, cost: CostMatrix) -> str:
+    """The loss kind a loss label trains; cross_entropy_post trains cross_entropy."""
     if label != "cross_entropy_post":
-        return LossSpec(label, cost)
+        return label
     if not cost.is_square:
         raise ValueError("cross_entropy_post is undefined when reports != labels "
                          "(weighted argmax has no deferral score)")
-    return LossSpec("cross_entropy", cost)
+    return "cross_entropy"
 
 
 def make_loss(label: str, cost: CostMatrix) -> BoundLoss:
-    return BoundLoss(_loss_spec(label, cost))
+    return BoundLoss(_loss_kind(label, cost), cost)
 
 
 def run_cell(cfg: ExperimentConfig, label: str, seed_index: int) -> ResultRow:
@@ -299,9 +318,7 @@ def run_cell(cfg: ExperimentConfig, label: str, seed_index: int) -> ResultRow:
     cell_seed = mix_seed(cfg.master_seed, cfg.dataset, label, seed_index)
     try:
         ds, cost, splits = load_dataset(cfg, split_seed)
-        tr = data_mod.split_xy(ds, splits.train)
-        va = data_mod.split_xy(ds, splits.val)
-        te = data_mod.split_xy(ds, splits.test)
+        tr, va, te = (data_mod.split_xy(ds, idx) for idx in splits)
         loss = make_loss(label, cost)
         spec = ModelSpec(
             in_dim=ds.n_features,
@@ -329,7 +346,7 @@ def run_cell(cfg: ExperimentConfig, label: str, seed_index: int) -> ResultRow:
         result = evaluate(model, te, cost, weights)
         slope = None
         if cfg.model_kind == "linear" and ds.n_features == 2 and spec.out_dim <= 2:
-            rep = boundary_slope(model, label)
+            rep = boundary_slope(model)
             slope = float("nan") if rep.degenerate else rep.slope
         return ResultRow(
             dataset=cfg.dataset,

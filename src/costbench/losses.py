@@ -9,7 +9,6 @@ check in the test suite.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial, reduce
 
 import numpy as np
@@ -184,33 +183,20 @@ def _vertex_gap(s: EmbeddingSurrogate, U: np.ndarray) -> np.ndarray:
     return part[:, -1] - part[:, -2]
 
 
-# ---------------------------------------------------------------------------
-# Loss specifications: serializable descriptions bound to evaluation closures.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class LossSpec:
-    """A loss kind plus the cost matrix it is tied to."""
-
-    kind: str
-    cost: CostMatrix | None = None
-
-    def __post_init__(self):
-        if self.kind not in LOSS_KINDS:
-            raise ValueError(f"unknown loss kind {self.kind!r}; one of {LOSS_KINDS}")
-        if self.cost is None:
-            raise ValueError(f"{self.kind} requires a cost matrix")
-        if self.kind == "weighted_hinge":
-            c = self.cost.entries
-            if c.shape != (2, 2) or c[0, 0] != 0 or c[1, 1] != 0:
-                raise ValueError("weighted_hinge needs a zero-diagonal 2x2 matrix")
-            if c[1, 0] <= 0 or c[0, 1] <= 0:
-                raise ValueError("weighted_hinge needs positive off-diagonal costs")
+def check_loss(kind: str, cost: CostMatrix) -> None:
+    """Raise ValueError unless a loss of this kind can train on this matrix."""
+    if kind not in LOSS_KINDS:
+        raise ValueError(f"unknown loss kind {kind!r}; one of {LOSS_KINDS}")
+    if kind == "weighted_hinge":
+        c = cost.entries
+        if c.shape != (2, 2) or c[0, 0] != 0 or c[1, 1] != 0:
+            raise ValueError("weighted_hinge needs a zero-diagonal 2x2 matrix")
+        if c[1, 0] <= 0 or c[0, 1] <= 0:
+            raise ValueError("weighted_hinge needs positive off-diagonal costs")
 
 
 class BoundLoss:
-    """A LossSpec materialized for training: batched values/grads and decisions.
+    """A loss kind bound to its cost matrix: batched values/grads and decisions.
 
     The constructor is the one place that dispatches on the loss kind. It
     resolves, once per loss, the batch function, the model output width, the
@@ -218,9 +204,9 @@ class BoundLoss:
     decision's input space and the kink margin used by gradient checks.
     """
 
-    def __init__(self, spec: LossSpec):
-        self.kind = spec.kind
-        cost = spec.cost
+    def __init__(self, kind: str, cost: CostMatrix):
+        check_loss(kind, cost)
+        self.kind = kind
         self.surrogate: EmbeddingSurrogate | None = None
         self.out_dim = cost.n_labels
         self._link = None  # scores -> decision input; None is the identity

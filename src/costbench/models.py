@@ -117,7 +117,6 @@ def mean_loss_and_param_grads(
 
 @dataclass(eq=False)
 class TrainedModel:
-    spec: ModelSpec
     loss: BoundLoss
     params: Params
     history: np.ndarray  # (n_epochs + 1, 2): train and val loss at each epoch
@@ -200,7 +199,7 @@ def train(
                 (w - lr * gw, b - lr * gb) for (w, b), (gw, gb) in zip(params, grads)
             ]
 
-    return TrainedModel(spec, loss, best_params, history, best_epoch)
+    return TrainedModel(loss, best_params, history, best_epoch)
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,13 +226,13 @@ def evaluate(
         raise ValueError("evaluation split is empty")
     scores = forward(model.params, x)
     preds = model.loss.decide_batch(scores, weights)
-    cm = confusion(preds, y, cost.n_reports, cost.n_labels)
-    csl = cost_sensitive_loss(cm, cost)
-    acc = cm_accuracy(cm) if cost.is_square else None
+    counts = confusion(preds, y, cost.n_reports, cost.n_labels)
+    csl = cost_sensitive_loss(counts, cost)
+    acc = cm_accuracy(counts) if cost.is_square else None
     vals, _ = model.loss.batch(scores, y)
     costs = cost.entries[preds, y]
     se = float(costs.std(ddof=1) / np.sqrt(len(costs))) if len(costs) > 1 else 0.0
-    return EvalResult(csl, acc, cm.counts, float(vals.mean()), se)
+    return EvalResult(csl, acc, counts, float(vals.mean()), se)
 
 
 def gradient_check(
@@ -241,18 +240,17 @@ def gradient_check(
     loss: BoundLoss,
     x: np.ndarray,
     y: np.ndarray,
-    h: float = 1e-5,
     max_coords: int = 400,
 ) -> float:
     """Max relative error of analytic parameter gradients vs central differences.
 
     Samples whose scores sit within `margin` of a polyhedral kink are
-    dropped first so the finite differences straddle a smooth region. For
+    dropped first so the steps of size `h` straddle a smooth region. For
     large models a deterministic subset of coordinates is probed.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=int)
-    margin = 1e-3
+    h, margin = 1e-5, 1e-3
     params = init_model(spec)
     scores, acts = _forward_cache(params, x)
     keep = loss.kink_margin(scores) > margin

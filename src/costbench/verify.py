@@ -26,7 +26,7 @@ from .costs import (
 from .data import bayes_decision_many, posterior_pos_many, sample_synthetic
 from .diagnostics import embedding_regret_profile, render_scatter_svg
 from .embedding import build_embedding_surrogate, verify_alpha_separation, verify_embedding
-from .losses import LOSS_KINDS, BoundLoss, LossSpec
+from .losses import LOSS_KINDS, BoundLoss
 from .models import ModelSpec, gradient_check
 
 
@@ -89,7 +89,7 @@ def run_verify(
         y = (rng.random(120) < 0.5).astype(int)
         worst = 0.0
         for kind in LOSS_KINDS:
-            loss = BoundLoss(LossSpec(kind, cost))
+            loss = BoundLoss(kind, cost)
             for hidden in ((), (16, 16)):
                 spec = ModelSpec(2, loss.out_dim, hidden_dims=hidden, init_seed=rng_seed + 1)
                 err = gradient_check(spec, loss, x, y, max_coords=60)

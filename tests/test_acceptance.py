@@ -24,7 +24,7 @@ from costbench.embedding import (
     verify_embedding,
 )
 from costbench.harness import parse_config, run_experiment, write_rows_csv
-from costbench.losses import BoundLoss, LossSpec
+from costbench.losses import BoundLoss
 from costbench.models import ModelSpec, gradient_check
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -127,7 +127,7 @@ def test_criterion_4_gradient_correctness(rng):
     worst = 0.0
     for kind in ("cross_entropy", "scaled_cross_entropy", "embedding",
                  "embedding_softmax", "weighted_hinge"):
-        loss = BoundLoss(LossSpec(kind, cost))
+        loss = BoundLoss(kind, cost)
         for hidden in ((), (16, 16)):
             spec = ModelSpec(2, loss.out_dim, hidden_dims=hidden, init_seed=3)
             err = gradient_check(spec, loss, x, y, max_coords=100)

@@ -108,6 +108,24 @@ def test_table_subcommand_round_trip(tiny_config, tmp_path):
     assert res.stdout.strip().endswith(direct.strip().splitlines()[-1])
 
 
+@pytest.mark.parametrize("text, names", [
+    ("dataset,loss,seed\nsynthetic,cross_entropy,0\n", "missing column(s) csl, accuracy"),
+    ("dataset,loss,seed,csl,accuracy,train_loss,val_loss,test_loss,failed\n"
+     "synthetic,cross_entropy,0,0.5,,0.1,0.1,0.1,\n"
+     "synthetic,cross_entropy,one,0.5,,0.1,0.1,0.1,\n", "line 3"),
+    ("dataset,loss,seed,csl,accuracy,train_loss,val_loss,test_loss,failed\n"
+     "synthetic,cross_entropy,0\n", "line 2: expected 9 fields"),
+])
+def test_table_rejects_malformed_rows_csv(tmp_path, text, names):
+    # A missing column or a bad value is a usage error that names the file.
+    rows = tmp_path / "rows.csv"
+    rows.write_text(text)
+    res = run_cli(["table", str(rows)], cwd=tmp_path)
+    assert res.returncode == 2
+    assert f"error: {rows}" in res.stderr and names in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_verify_fast_passes(tmp_path):
     res = run_cli(["verify", "--fast"], cwd=tmp_path)
     assert res.returncode == 0, res.stdout + res.stderr
@@ -255,3 +273,16 @@ def test_reproduce_tables_names_failed_cells(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "cell failed: synthetic/cross_entropy/seed 1: diverged at epoch 7" in err
     assert (tmp_path / "results/synthetic_rows.csv").exists()
+
+
+def test_reproduce_tables_reports_bad_config(tmp_path, monkeypatch, capsys):
+    # A bad config ends the script as it ends `costbench run`: exit 2, no traceback.
+    script = _load_reproduce_tables()
+    (tmp_path / "bad.cfg").write_text("[experiment]\ndataset = synthetic\nn_seeds = 0\n")
+    monkeypatch.setattr(script, "CONFIG_DIR", tmp_path)
+    monkeypatch.setattr(script, "run_experiment", lambda cfg: pytest.fail("a cell ran"))
+    monkeypatch.setattr(sys, "argv", ["reproduce_tables.py"])
+    monkeypatch.chdir(tmp_path)
+    assert script.main() == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {tmp_path / 'bad.cfg'}: [experiment] n_seeds")

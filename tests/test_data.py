@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from costbench.costs import SimplexDist, binary_alpha_matrix, bayes_optimal_reports
 from costbench.data import (
     SPLIT_FRACTIONS,
-    SplitIndices,
     UCI_SPECS,
     bayes_decision_many,
     load_uci,
@@ -161,9 +160,9 @@ def test_bayes_rule_beats_random_linear_rules():
 
 def test_split_sizes_and_disjointness():
     ds = sample_synthetic(1000, rng_seed=6)
-    sp = subsample_and_split(ds, 500, seed=0)
-    assert len(sp.train) == 300 and len(sp.val) == 100 and len(sp.test) == 100
-    all_idx = np.concatenate([sp.train, sp.val, sp.test])
+    tr, va, te = subsample_and_split(ds, 500, seed=0)
+    assert len(tr) == 300 and len(va) == 100 and len(te) == 100
+    all_idx = np.concatenate([tr, va, te])
     assert len(set(all_idx.tolist())) == 500
 
 
@@ -171,9 +170,9 @@ def test_split_deterministic():
     ds = sample_synthetic(600, rng_seed=6)
     a = subsample_and_split(ds, 400, seed=3)
     b = subsample_and_split(ds, 400, seed=3)
-    assert np.array_equal(a.train, b.train)
-    assert np.array_equal(a.val, b.val)
-    assert np.array_equal(a.test, b.test)
+    assert np.array_equal(a[0], b[0])
+    assert np.array_equal(a[1], b[1])
+    assert np.array_equal(a[2], b[2])
 
 
 @given(st.integers(10, 300), st.integers(0, 2**31))
@@ -181,11 +180,11 @@ def test_split_deterministic():
 def test_split_structure_property(n, seed):
     ds = sample_synthetic(400, rng_seed=1)
     sp = subsample_and_split(ds, n, seed=seed)
-    sizes = (len(sp.train), len(sp.val), len(sp.test))
+    sizes = tuple(map(len, sp))
     assert sum(sizes) == n
     for size, frac in zip(sizes, SPLIT_FRACTIONS):
         assert abs(size - frac * n) <= 1
-    joined = np.concatenate([sp.train, sp.val, sp.test])
+    joined = np.concatenate(sp)
     assert len(np.unique(joined)) == n
     assert joined.max() < len(ds)
 
@@ -193,7 +192,7 @@ def test_split_structure_property(n, seed):
 def test_split_of_full_dataset_is_pure_split():
     ds = sample_synthetic(200, rng_seed=2)
     sp = subsample_and_split(ds, 200, seed=9)
-    joined = np.sort(np.concatenate([sp.train, sp.val, sp.test]))
+    joined = np.sort(np.concatenate(sp))
     assert np.array_equal(joined, np.arange(200))
 
 
@@ -201,11 +200,6 @@ def test_split_too_large_rejected():
     ds = sample_synthetic(100, rng_seed=0)
     with pytest.raises(ValueError):
         subsample_and_split(ds, 101, seed=0)
-
-
-def test_split_indices_disjointness_enforced():
-    with pytest.raises(ValueError):
-        SplitIndices(np.array([0, 1]), np.array([1, 2]), np.array([3]))
 
 
 # --- UCI loading on fixture files --------------------------------------------------

@@ -48,15 +48,14 @@ def _public_definitions(path):
                     yield f"{node.name}.{sub.name}", sub, True
 
 
-def test_every_public_src_name_is_used_outside_the_tests():
-    # A reference is a bare name, an attribute (.name), or a string equal to
-    # the name (bench/tracer.py names what it traces). Methods and properties
-    # count only as .name or as a string.
+def _references():
+    """(path, line, name, is_member_style) of every bare name, attribute
+    (.name) and string constant in src, bench/ and scripts/."""
     root = SRC.parent.parent
     users = sorted([*SRC.glob("*.py"), *(root / "bench").glob("*.py"),
                     *(root / "scripts").glob("*.py")])
     assert len(users) > len(list(SRC.glob("*.py")))  # bench/ and scripts/ were found
-    refs = []  # (path, line, name, is_member_style)
+    refs = []
     for path in users:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Name):
@@ -65,6 +64,14 @@ def test_every_public_src_name_is_used_outside_the_tests():
                 refs.append((path, node.lineno, node.attr, True))
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 refs.append((path, node.lineno, node.value, True))
+    return refs
+
+
+def test_every_public_src_name_is_used_outside_the_tests():
+    # A reference is a bare name, an attribute (.name), or a string equal to
+    # the name (bench/tracer.py names what it traces). Methods and properties
+    # count only as .name or as a string.
+    refs = _references()
     unused = set()
     for path in sorted(SRC.glob("*.py")):
         if path.name == "__init__.py":
@@ -77,3 +84,49 @@ def test_every_public_src_name_is_used_outside_the_tests():
             ):
                 unused.add(f"{path.stem}.{qual}")
     assert unused == set(TEST_ONLY_NAMES)
+
+
+# Dataclass fields that nothing outside the tests reads, each kept for a stated reason.
+TEST_ONLY_FIELDS = {
+    "data.Dataset.label_map": "the raw label value behind each code, hashed by the UCI load pin",
+    "diagnostics.SlopeReport.offset": "the link offset of roadmap item 2",
+    "harness.ResultRow.test_cost_se": "the per-cell trace of roadmap item 4",
+    "harness.ResultRow.boundary_slope": "the per-cell trace of roadmap item 4; criterion 7",
+}
+
+
+def _is_dataclass(node):
+    for d in node.decorator_list:
+        target = d.func if isinstance(d, ast.Call) else d
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def test_every_dataclass_field_is_read_outside_the_tests():
+    # A read is an attribute (.field) or a string equal to the field name
+    # (write_rows_csv and bench/ read fields through getattr). Reads in the
+    # class's own __post_init__ only validate, so they do not count; a read in
+    # another method does, since the guard above checks that method is used.
+    refs = [(path, line, name) for path, line, name, member in _references() if member]
+    unread = set()
+    n_fields = 0
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if not (isinstance(node, ast.ClassDef) and _is_dataclass(node)):
+                continue
+            post_init = [(sub.lineno, sub.end_lineno) for sub in node.body
+                         if isinstance(sub, ast.FunctionDef) and sub.name == "__post_init__"]
+            for sub in node.body:
+                if not (isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name)):
+                    continue
+                n_fields += 1
+                field = sub.target.id
+                if not any(
+                    name == field
+                    and not (where == path and any(a <= line <= b for a, b in post_init))
+                    for where, line, name in refs
+                ):
+                    unread.add(f"{path.stem}.{node.name}.{field}")
+    assert n_fields > 30  # the dataclasses were found
+    assert unread == set(TEST_ONLY_FIELDS)

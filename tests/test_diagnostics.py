@@ -17,8 +17,8 @@ from costbench.diagnostics import (
     render_scatter_svg,
 )
 from costbench.embedding import build_embedding_surrogate, game_values
-from costbench.losses import BoundLoss, LossSpec
-from costbench.models import ModelSpec, TrainedModel
+from costbench.losses import BoundLoss
+from costbench.models import TrainedModel
 
 ALPHA6 = binary_alpha_matrix(1 / 6)
 
@@ -130,10 +130,9 @@ def test_optimal_slope_values():
 def test_boundary_slope_from_known_weights():
     # Score gap g(x) = 2 x1 + 1.6 x2: boundary x1 = -0.8 x2, slope -0.8.
     params = [(np.array([[0.0, 2.0], [0.0, 1.6]]), np.array([0.0, 0.0]))]
-    loss = BoundLoss(LossSpec("cross_entropy", ALPHA6))
-    model = TrainedModel(ModelSpec(2, 2, init_seed=0), loss, params,
-                         np.zeros((1, 2)), 0)
-    rep = boundary_slope(model, "fixture")
+    loss = BoundLoss("cross_entropy", ALPHA6)
+    model = TrainedModel(loss, params, np.zeros((1, 2)), 0)
+    rep = boundary_slope(model)
     assert not rep.degenerate
     assert rep.slope == pytest.approx(-0.8)
     assert rep.offset == pytest.approx(0.0)
@@ -141,9 +140,8 @@ def test_boundary_slope_from_known_weights():
 
 def test_boundary_slope_single_output_head():
     params = [(np.array([[1.0], [0.5]]), np.array([0.25]))]
-    loss = BoundLoss(LossSpec("weighted_hinge", ALPHA6))
-    model = TrainedModel(ModelSpec(2, 1, init_seed=0), loss, params,
-                         np.zeros((1, 2)), 0)
+    loss = BoundLoss("weighted_hinge", ALPHA6)
+    model = TrainedModel(loss, params, np.zeros((1, 2)), 0)
     rep = boundary_slope(model)
     assert rep.slope == pytest.approx(-0.5)
     assert rep.offset == pytest.approx(-0.25)
@@ -151,9 +149,8 @@ def test_boundary_slope_single_output_head():
 
 def test_boundary_slope_degenerate_flagged():
     params = [(np.array([[0.0, 0.0], [0.0, 1.0]]), np.zeros(2))]
-    loss = BoundLoss(LossSpec("cross_entropy", ALPHA6))
-    model = TrainedModel(ModelSpec(2, 2, init_seed=0), loss, params,
-                         np.zeros((1, 2)), 0)
+    loss = BoundLoss("cross_entropy", ALPHA6)
+    model = TrainedModel(loss, params, np.zeros((1, 2)), 0)
     rep = boundary_slope(model)
     assert rep.degenerate
     assert math.isinf(rep.slope)
@@ -162,18 +159,17 @@ def test_boundary_slope_degenerate_flagged():
 def test_example1_geometry_and_csv():
     params_a = [(np.array([[0.0, 2.0], [0.0, 1.6]]), np.zeros(2))]
     params_b = [(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros(2))]
-    loss = BoundLoss(LossSpec("cross_entropy", ALPHA6))
-    spec = ModelSpec(2, 2, init_seed=0)
+    loss = BoundLoss("cross_entropy", ALPHA6)
     models = {
-        "sloped": TrainedModel(spec, loss, params_a, np.zeros((1, 2)), 0),
-        "vertical": TrainedModel(spec, loss, params_b, np.zeros((1, 2)), 0),
+        "sloped": TrainedModel(loss, params_a, np.zeros((1, 2)), 0),
+        "vertical": TrainedModel(loss, params_b, np.zeros((1, 2)), 0),
     }
-    reports = {label: boundary_slope(m, label) for label, m in models.items()}
+    reports = {label: boundary_slope(m) for label, m in models.items()}
     assert reports["sloped"].slope == pytest.approx(-0.8)
     assert reports["vertical"].slope == pytest.approx(0.0)
     # The fields of a geometry report row, one row per trained model.
     target = optimal_boundary_slope(1 / 6)
-    assert [(r.label, r.offset, r.degenerate) for r in reports.values()] == [
+    assert [(label, r.offset, r.degenerate) for label, r in reports.items()] == [
         ("sloped", 0.0, False), ("vertical", 0.0, False)]
     assert reports["sloped"].slope - target == pytest.approx(-0.8 - 0.5 * math.log(0.2))
 

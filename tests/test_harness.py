@@ -169,7 +169,7 @@ def test_config_rejects_loss_the_matrix_cannot_take(tmp_path, capsys):
     path = tmp_path / "deferral.cfg"
     path.write_text("[experiment]\ndataset = german_credit_deferral\n"
                     "losses = cross_entropy, weighted_hinge\n")
-    with pytest.raises(ConfigError, match=re.escape(f"{path}: losses: weighted_hinge")):
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: [experiment] losses: weighted_hinge")):
         parse_config(path)
     assert main(["run", str(path)]) == 2
     assert "losses: weighted_hinge" in capsys.readouterr().err
@@ -185,7 +185,7 @@ def test_config_rejects_alpha_off_the_synthetic_task(tmp_path):
     assert ExperimentConfig(alpha=0.25).alpha == 0.25
     path = tmp_path / "credit.cfg"
     path.write_text("[experiment]\ndataset = german_credit\nalpha = 1/4\n")
-    with pytest.raises(ConfigError, match=re.escape(f"{path}: alpha")):
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: [experiment] alpha")):
         parse_config(path)
 
 
@@ -206,6 +206,26 @@ def test_config_rejects_empty_split_or_no_workers(tmp_path, capsys, line, key):
         parse_config(path)
     assert main(["run", str(path)]) == 2
     assert f"[experiment] {key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, section, key", [
+    ("[experiment]\ndataset = mnist\n", "experiment", "dataset"),
+    ("[experiment]\ndataset = german_credit\nalpha = 1/4\n", "experiment", "alpha"),
+    ("[experiment]\nalpha = 3/2\n", "experiment", "alpha"),
+    ("[experiment]\nn_seeds = 0\n", "experiment", "n_seeds"),
+    ("[experiment]\nlosses = ,\n", "experiment", "losses"),
+    ("[experiment]\nlosses = hinge\n", "experiment", "losses"),
+    ("[experiment]\nlosses = embedding, embedding\n", "experiment", "losses"),
+    ("[experiment]\ndataset = german_credit_deferral\nlosses = weighted_hinge\n",
+     "experiment", "losses"),
+    ("[model]\nkind = cnn\n", "model", "kind"),
+    ("[train]\nselection = best\n", "train", "selection"),
+])
+def test_config_errors_name_section_and_key(tmp_path, text, section, key):
+    path = tmp_path / "a.cfg"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: [{section}] {key}")):
+        parse_config(path)
 
 
 def test_config_accepts_smallest_nonempty_split():

@@ -22,7 +22,6 @@ from costbench.embedding import (
 from costbench.losses import (
     LOSS_KINDS,
     BoundLoss,
-    LossSpec,
     NonFiniteScores,
     class_weights,
     cross_entropy_batch,
@@ -267,41 +266,38 @@ def test_fused_embedding_batches_match_separate_calls(name, rng):
 
 def test_loss_spec_validation():
     with pytest.raises(ValueError):
-        LossSpec("nope", ALPHA6)
-    for kind in ("cross_entropy", "scaled_cross_entropy"):
-        with pytest.raises(ValueError, match="requires a cost matrix"):
-            LossSpec(kind)
+        BoundLoss("nope", ALPHA6)
     with pytest.raises(ValueError):
-        LossSpec("weighted_hinge", STUDENT)  # needs a 2x2 alpha matrix
-    LossSpec("weighted_hinge", ALPHA6)
+        BoundLoss("weighted_hinge", STUDENT)  # needs a 2x2 alpha matrix
+    BoundLoss("weighted_hinge", ALPHA6)
 
 
 def test_bound_loss_out_dims():
-    assert BoundLoss(LossSpec("cross_entropy", STUDENT)).out_dim == 3
-    assert BoundLoss(LossSpec("embedding", STUDENT)).out_dim == 3
-    assert BoundLoss(LossSpec("embedding_softmax", STUDENT)).out_dim == 3
-    assert BoundLoss(LossSpec("weighted_hinge", ALPHA6)).out_dim == 1
+    assert BoundLoss("cross_entropy", STUDENT).out_dim == 3
+    assert BoundLoss("embedding", STUDENT).out_dim == 3
+    assert BoundLoss("embedding_softmax", STUDENT).out_dim == 3
+    assert BoundLoss("weighted_hinge", ALPHA6).out_dim == 1
     # Deferral: 3 reports over 2 labels.
     from costbench.costs import german_credit_deferral_matrix
 
     defer = german_credit_deferral_matrix()
-    assert BoundLoss(LossSpec("embedding", defer)).out_dim == 2
-    assert BoundLoss(LossSpec("embedding_softmax", defer)).out_dim == 3
-    assert BoundLoss(LossSpec("cross_entropy", defer)).out_dim == 2
+    assert BoundLoss("embedding", defer).out_dim == 2
+    assert BoundLoss("embedding_softmax", defer).out_dim == 3
+    assert BoundLoss("cross_entropy", defer).out_dim == 2
 
 
 def test_bound_loss_kink_margins():
     u = np.array([[1.0], [-1.0], [0.0], [3.0]])
-    hinge = BoundLoss(LossSpec("weighted_hinge", ALPHA6))
+    hinge = BoundLoss("weighted_hinge", ALPHA6)
     assert np.array_equal(hinge.kink_margin(u), [0.0, 0.0, 1.0, 2.0])
     for kind in ("cross_entropy", "scaled_cross_entropy"):
-        margins = BoundLoss(LossSpec(kind, STUDENT)).kink_margin(np.zeros((2, 3)))
+        margins = BoundLoss(kind, STUDENT).kink_margin(np.zeros((2, 3)))
         assert np.all(np.isinf(margins))
     # Embedded points are kinks of G; the softmax variant measures the gap
     # at the point its scores link to.
-    raw = BoundLoss(LossSpec("embedding", STUDENT))
+    raw = BoundLoss("embedding", STUDENT)
     assert np.all(raw.kink_margin(raw.surrogate.phi) < 1e-12)
-    soft = BoundLoss(LossSpec("embedding_softmax", STUDENT))
+    soft = BoundLoss("embedding_softmax", STUDENT)
     logits = np.random.default_rng(1).normal(size=(20, soft.out_dim))
     assert np.array_equal(soft.kink_margin(logits),
                           raw.kink_margin(soft.link_input(logits)))
@@ -311,7 +307,7 @@ def test_bound_loss_kink_margins():
 def test_bound_loss_batches_match_singles(rng):
     for kind in ("cross_entropy", "scaled_cross_entropy", "embedding",
                  "embedding_softmax"):
-        loss = BoundLoss(LossSpec(kind, STUDENT))
+        loss = BoundLoss(kind, STUDENT)
         S = rng.normal(size=(7, loss.out_dim)) * 2
         ys = rng.integers(0, 3, size=7)
         vals, grads = loss.batch(S, ys)
@@ -331,7 +327,7 @@ def test_stacked_batch_matches_separate_calls(name):
     for kind in LOSS_KINDS:
         if kind == "weighted_hinge" and cost.entries.shape != (2, 2):
             continue
-        loss = BoundLoss(LossSpec(kind, cost))
+        loss = BoundLoss(kind, cost)
         for n_tr, n_va in [(2, 2), (37, 13), (300, 100), (600, 200)]:
             scores = rng.normal(scale=3.0, size=(n_tr + n_va, loss.out_dim))
             ys = rng.integers(0, cost.n_labels, n_tr + n_va)
@@ -347,7 +343,7 @@ def test_stacked_batch_matches_separate_calls(name):
 
 def _decide(cost, scores, weights=None):
     """cross_entropy's decision on cost, or the weighted argmax under weights."""
-    return BoundLoss(LossSpec("cross_entropy", cost)).decide_batch(scores, weights)
+    return BoundLoss("cross_entropy", cost).decide_batch(scores, weights)
 
 
 def test_decide_argmax_and_ties():
@@ -445,7 +441,7 @@ def test_decisions_pinned_for_every_loss_kind():
     for name, cost in stock_matrices().items():
         for kind in LOSS_KINDS:
             try:
-                loss = BoundLoss(LossSpec(kind, cost))
+                loss = BoundLoss(kind, cost)
             except ValueError:
                 continue  # weighted_hinge takes only zero-diagonal 2x2 matrices
             scores, _ = _decision_inputs(loss.out_dim, cost.n_labels)

@@ -9,7 +9,7 @@ from costbench.costs import (
     stock_matrices,
     synthetic_cost_matrix,
 )
-from costbench.losses import LOSS_KINDS, BoundLoss, LossSpec
+from costbench.losses import LOSS_KINDS, BoundLoss
 from costbench.models import (
     ModelSpec,
     TrainConfig,
@@ -105,7 +105,7 @@ def test_forward_rejects_inputs_that_are_not_rows():
 
 def test_zero_learning_rate_freezes(rng):
     x, y = make_blobs(40, rng)
-    loss = BoundLoss(LossSpec("cross_entropy", ALPHA6))
+    loss = BoundLoss("cross_entropy", ALPHA6)
     spec = ModelSpec(2, 2, init_seed=4)
     model = train(spec, loss, (x[:30], y[:30]), (x[30:], y[30:]),
                   TrainConfig(learning_rate=0.0, n_epochs=20))
@@ -118,7 +118,7 @@ def test_zero_learning_rate_freezes(rng):
 
 def test_separable_ce_converges(rng):
     x, y = make_blobs(60, rng, separation=6.0)
-    loss = BoundLoss(LossSpec("cross_entropy", ALPHA6))
+    loss = BoundLoss("cross_entropy", ALPHA6)
     model = train(ModelSpec(2, 2, init_seed=1), loss,
                   (x[:40], y[:40]), (x[40:], y[40:]),
                   TrainConfig(learning_rate=0.5, n_epochs=800))
@@ -127,7 +127,7 @@ def test_separable_ce_converges(rng):
 
 def test_training_deterministic(rng):
     x, y = make_blobs(50, rng)
-    loss = BoundLoss(LossSpec("embedding_softmax", ALPHA6))
+    loss = BoundLoss("embedding_softmax", ALPHA6)
     cfg = TrainConfig(learning_rate=0.3, n_epochs=150)
     runs = [
         train(ModelSpec(2, 2, init_seed=3), loss,
@@ -142,7 +142,7 @@ def test_training_deterministic(rng):
 
 def test_best_epoch_attains_min_val(rng):
     x, y = make_blobs(60, rng)
-    loss = BoundLoss(LossSpec("scaled_cross_entropy", ALPHA6))
+    loss = BoundLoss("scaled_cross_entropy", ALPHA6)
     model = train(ModelSpec(2, 2, init_seed=2), loss,
                   (x[:40], y[:40]), (x[40:], y[40:]),
                   TrainConfig(learning_rate=0.5, n_epochs=200))
@@ -160,7 +160,7 @@ def test_monotone_first_epochs_small_lr(rng):
     x, y = ds.features, ds.labels
     for kind in ("cross_entropy", "scaled_cross_entropy", "embedding",
                  "embedding_softmax", "weighted_hinge"):
-        loss = BoundLoss(LossSpec(kind, cost))
+        loss = BoundLoss(kind, cost)
         model = train(ModelSpec(2, loss.out_dim, init_seed=6), loss,
                       (x[:150], y[:150]), (x[150:], y[150:]),
                       TrainConfig(learning_rate=0.01, n_epochs=10))
@@ -170,7 +170,7 @@ def test_monotone_first_epochs_small_lr(rng):
 def test_divergence_raises_with_epoch(rng):
     x, y = make_blobs(30, rng)
     x = x * 1e3
-    loss = BoundLoss(LossSpec("cross_entropy", ALPHA6))
+    loss = BoundLoss("cross_entropy", ALPHA6)
     # Steps this large overflow the parameters to non-finite within a step or two.
     with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as err:
         train(ModelSpec(2, 2, init_seed=0), loss,
@@ -192,7 +192,7 @@ def test_plain_value_error_is_not_divergence(rng):
             return super().batch(scores, ys)
 
     x, y = make_blobs(30, rng)
-    loss = BuggyLoss(LossSpec("cross_entropy", ALPHA6))
+    loss = BuggyLoss("cross_entropy", ALPHA6)
     with pytest.raises(ValueError, match="index bug"):
         train(ModelSpec(2, 2, init_seed=0), loss,
               (x[:20], y[:20]), (x[20:], y[20:]),
@@ -201,7 +201,7 @@ def test_plain_value_error_is_not_divergence(rng):
 
 def test_empty_split_rejected(rng):
     x, y = make_blobs(10, rng)
-    loss = BoundLoss(LossSpec("cross_entropy", ALPHA6))
+    loss = BoundLoss("cross_entropy", ALPHA6)
     with pytest.raises(ValueError):
         train(ModelSpec(2, 2, init_seed=0), loss,
               (x, y), (x[:0], y[:0]), TrainConfig())
@@ -209,7 +209,7 @@ def test_empty_split_rejected(rng):
 
 def test_out_dim_mismatch_rejected(rng):
     x, y = make_blobs(10, rng)
-    loss = BoundLoss(LossSpec("cross_entropy", STUDENT))
+    loss = BoundLoss("cross_entropy", STUDENT)
     with pytest.raises(ValueError):
         train(ModelSpec(2, 2, init_seed=0), loss,
               (x, y), (x, y), TrainConfig())
@@ -223,11 +223,10 @@ def test_evaluate_perfect_model():
     x = np.array([[1.0, 0.0], [-1.0, 0.0]] * 10)
     y = np.array([1, 0] * 10)
     params = [(np.array([[0.0, 10.0], [0.0, 0.0]]), np.zeros(2))]
-    loss = BoundLoss(LossSpec("cross_entropy", ALPHA6))
-    spec = ModelSpec(2, 2, init_seed=0)
+    loss = BoundLoss("cross_entropy", ALPHA6)
     from costbench.models import TrainedModel
 
-    model = TrainedModel(spec, loss, params, np.zeros((1, 2)), 0)
+    model = TrainedModel(loss, params, np.zeros((1, 2)), 0)
     res = evaluate(model, (x, y), ALPHA6)
     assert res.csl == 0.0 and res.accuracy == 1.0
 
@@ -236,11 +235,10 @@ def test_evaluate_constant_prediction_base_rate(rng):
     x = rng.normal(size=(200, 2))
     y = (rng.random(200) < 0.3).astype(int)
     params = [(np.zeros((2, 2)), np.array([5.0, 0.0]))]  # always predict 0
-    loss = BoundLoss(LossSpec("cross_entropy", ALPHA6))
+    loss = BoundLoss("cross_entropy", ALPHA6)
     from costbench.models import TrainedModel
 
-    model = TrainedModel(ModelSpec(2, 2, init_seed=0), loss, params,
-                         np.zeros((1, 2)), 0)
+    model = TrainedModel(loss, params, np.zeros((1, 2)), 0)
     res = evaluate(model, (x, y), ALPHA6)
     want = y.mean() * ALPHA6.entries[0, 1]  # every positive costs 5/6
     assert res.csl == pytest.approx(want, abs=1e-12)
@@ -248,7 +246,7 @@ def test_evaluate_constant_prediction_base_rate(rng):
 
 def test_evaluate_order_invariant(rng):
     x, y = make_blobs(80, rng)
-    loss = BoundLoss(LossSpec("cross_entropy", ALPHA6))
+    loss = BoundLoss("cross_entropy", ALPHA6)
     model = train(ModelSpec(2, 2, init_seed=3), loss,
                   (x[:60], y[:60]), (x[60:], y[60:]),
                   TrainConfig(learning_rate=0.2, n_epochs=50))
@@ -264,7 +262,7 @@ def test_evaluate_cost_se_matches_second_pass(kind, rng):
     # The SE of the per-sample test cost, as a separate forward and decide
     # pass over the split computes it.
     x, y = make_blobs(80, rng, separation=1.0)
-    loss = BoundLoss(LossSpec(kind, ALPHA6))
+    loss = BoundLoss(kind, ALPHA6)
     model = train(ModelSpec(2, loss.out_dim, init_seed=3), loss,
                   (x[:60], y[:60]), (x[60:], y[60:]),
                   TrainConfig(learning_rate=0.2, n_epochs=20))
@@ -280,7 +278,7 @@ def test_evaluate_deferral_has_no_accuracy(rng):
 
     cost = german_credit_deferral_matrix()
     x, y = make_blobs(40, rng)
-    loss = BoundLoss(LossSpec("embedding", cost))
+    loss = BoundLoss("embedding", cost)
     model = train(ModelSpec(2, 2, init_seed=3), loss,
                   (x[:30], y[:30]), (x[30:], y[30:]),
                   TrainConfig(learning_rate=0.2, n_epochs=30))
@@ -296,7 +294,7 @@ def test_evaluate_deferral_has_no_accuracy(rng):
                                   "embedding", "embedding_softmax",
                                   "weighted_hinge"])
 def test_gradient_check_linear(kind, rng):
-    loss = BoundLoss(LossSpec(kind, ALPHA6))
+    loss = BoundLoss(kind, ALPHA6)
     x, y = make_blobs(100, rng)
     err = gradient_check(ModelSpec(2, loss.out_dim, init_seed=7),
                          loss, x, y)
@@ -306,7 +304,7 @@ def test_gradient_check_linear(kind, rng):
 @pytest.mark.parametrize("kind", ["scaled_cross_entropy", "embedding",
                                   "embedding_softmax"])
 def test_gradient_check_mlp(kind, rng):
-    loss = BoundLoss(LossSpec(kind, ALPHA6))
+    loss = BoundLoss(kind, ALPHA6)
     x, y = make_blobs(100, rng)
     spec = ModelSpec(2, loss.out_dim, hidden_dims=(12, 12), init_seed=7)
     err = gradient_check(spec, loss, x, y)
@@ -331,7 +329,7 @@ def test_gradient_check_values_pinned():
     y = (rng.random(120) < 0.5).astype(int)
     assert set(GRADIENT_CHECK_HEX) == set(LOSS_KINDS)
     for kind, want in GRADIENT_CHECK_HEX.items():
-        loss = BoundLoss(LossSpec(kind, ALPHA6))
+        loss = BoundLoss(kind, ALPHA6)
         got = tuple(
             gradient_check(ModelSpec(2, loss.out_dim, hidden_dims=hidden, init_seed=1),
                            loss, x, y, max_coords=60).hex()
@@ -393,7 +391,7 @@ def reference_train(spec, loss, train_xy, val_xy, cfg, selection_metric=None):
             best_val = sel
             best_epoch = epoch
             best_params = [(w.copy(), b.copy()) for w, b in params]
-    return TrainedModel(spec, loss, best_params, history, best_epoch)
+    return TrainedModel(loss, best_params, history, best_epoch)
 
 
 LOSS_KIND_NAMES = ("cross_entropy", "scaled_cross_entropy", "embedding",
@@ -428,7 +426,7 @@ def test_train_matches_reference_loop(kind, mode, selection, synthetic_splits):
     from costbench.costs import confusion, cost_sensitive_loss
 
     cost = synthetic_cost_matrix(1 / 6)
-    loss = BoundLoss(LossSpec(kind, cost))
+    loss = BoundLoss(kind, cost)
     tr, va = synthetic_splits
     spec_kw, cfg_kw = TRAIN_MODES[mode]
     spec = ModelSpec(in_dim=2, out_dim=loss.out_dim, init_seed=5, **spec_kw)
@@ -460,7 +458,7 @@ def test_train_matches_reference_loop_on_stock_matrices(name, n_tr, n_va):
     for kind in LOSS_KIND_NAMES:
         if kind == "weighted_hinge" and cost.entries.shape != (2, 2):
             continue
-        loss = BoundLoss(LossSpec(kind, cost))
+        loss = BoundLoss(kind, cost)
         args = (ModelSpec(4, loss.out_dim, init_seed=3), loss,
                 (x[:n_tr], y[:n_tr]), (x[n_tr:], y[n_tr:]),
                 TrainConfig(learning_rate=0.5, n_epochs=15))
@@ -489,7 +487,7 @@ def _diverged_epoch(fn, *args):
                                   "embedding", "weighted_hinge"])
 def test_divergence_epoch_matches_reference(kind, synthetic_splits):
     # Steps of 1e20 overflow this MLP's activations within a few updates.
-    loss = BoundLoss(LossSpec(kind, synthetic_cost_matrix(1 / 6)))
+    loss = BoundLoss(kind, synthetic_cost_matrix(1 / 6))
     tr, va = synthetic_splits
     args = (ModelSpec(2, loss.out_dim, hidden_dims=(16, 16), init_seed=1),
             loss, tr, va, TrainConfig(learning_rate=1e20, n_epochs=30))
@@ -508,7 +506,7 @@ def test_divergence_seen_only_on_train_split_keeps_its_epoch():
     x_tr, y_tr = ds.features[:40].copy(), ds.labels[:40]
     x_tr[0] = (50.0, 0.0)
     va = (ds.features[40:], ds.labels[40:])
-    loss = CappedLoss(LossSpec("cross_entropy", synthetic_cost_matrix(1 / 6)))
+    loss = CappedLoss("cross_entropy", synthetic_cost_matrix(1 / 6))
     loss.cap = 55.0
     args = (ModelSpec(2, 2, init_seed=1), loss, (x_tr, y_tr), va,
             TrainConfig(learning_rate=1.0, n_epochs=10))
@@ -527,7 +525,7 @@ def test_divergence_seen_only_on_val_split_keeps_its_epoch():
     tr = (ds.features[:40], ds.labels[:40])
     x_va, y_va = ds.features[40:].copy(), ds.labels[40:]
     x_va[0] = (50.0, 0.0)
-    loss = CappedLoss(LossSpec("cross_entropy", synthetic_cost_matrix(1 / 6)))
+    loss = CappedLoss("cross_entropy", synthetic_cost_matrix(1 / 6))
     loss.cap = 55.0
     args = (ModelSpec(2, 2, init_seed=1), loss, tr, (x_va, y_va),
             TrainConfig(learning_rate=1.0, n_epochs=10))
@@ -539,7 +537,7 @@ def test_divergence_seen_only_on_val_split_keeps_its_epoch():
 @pytest.mark.parametrize("selection", ["val_loss", "val_csl"])
 @pytest.mark.parametrize("kind", LOSS_KIND_NAMES)
 def test_one_loss_pass_per_epoch(kind, selection, synthetic_splits):
-    loss = BoundLoss(LossSpec(kind, synthetic_cost_matrix(1 / 6)))
+    loss = BoundLoss(kind, synthetic_cost_matrix(1 / 6))
     calls = []
     batch = loss.batch
 
