@@ -10,6 +10,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -99,18 +100,42 @@ def bayes_optimal_reports(
     return tuple(int(r) for r in np.flatnonzero(costs <= best + tie_eps))
 
 
+def check_range(indices, n: int, what: str) -> np.ndarray:
+    """indices as an int array; ValueError unless every one lies in [0, n)."""
+    indices = np.asarray(indices, dtype=int)
+    if indices.size and (indices.min() < 0 or indices.max() >= n):
+        raise ValueError(f"{what} must lie in [0, {n})")
+    return indices
+
+
+class Targets(NamedTuple):
+    """Labels encoded once for the loss kernels; row i holds label i."""
+
+    labels: np.ndarray  # (n,) ints in [0, n_labels)
+    flat: np.ndarray  # (n,) row-major index of (i, labels[i]) in an (n, n_labels) array
+    onehot: np.ndarray  # (n, n_labels) float indicator of each row's label
+
+
+def label_targets(labels, n_labels: int) -> Targets:
+    """Validate labels once and encode them for the loss kernels."""
+    labels = check_range(labels, n_labels, "labels")
+    if labels.ndim != 1:
+        raise ValueError(f"labels must be a 1-d sequence, got shape {labels.shape}")
+    flat = np.arange(0, len(labels) * n_labels, n_labels) + labels
+    onehot = np.zeros((len(labels), n_labels))
+    onehot.ravel()[flat] = 1.0
+    onehot.setflags(write=False)
+    return Targets(labels, flat, onehot)
+
+
 def confusion(preds, labels, n_reports: int, n_labels: int) -> np.ndarray:
     """Read-only int64 counts of (prediction, label) pairs, reports x labels."""
-    preds = np.asarray(preds, dtype=int)
-    labels = np.asarray(labels, dtype=int)
+    preds = check_range(preds, n_reports, "predictions")
+    labels = check_range(labels, n_labels, "labels")
     if preds.shape != labels.shape or preds.ndim != 1:
         raise ValueError("preds and labels must be equal-length 1-d sequences")
-    if preds.size and (preds.min() < 0 or preds.max() >= n_reports):
-        raise ValueError("prediction index out of range")
-    if labels.size and (labels.min() < 0 or labels.max() >= n_labels):
-        raise ValueError("label index out of range")
-    counts = np.zeros((n_reports, n_labels), dtype=np.int64)
-    np.add.at(counts, (preds, labels), 1)
+    counts = np.bincount(preds * n_labels + labels, minlength=n_reports * n_labels)
+    counts = counts.reshape(n_reports, n_labels)
     counts.setflags(write=False)
     return counts
 

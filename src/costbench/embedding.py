@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .costs import TIE_EPS, CostMatrix, simplex_grid
+from .costs import TIE_EPS, CostMatrix, Targets, label_targets, simplex_grid
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,11 +226,11 @@ def game_values(s: EmbeddingSurrogate, U: np.ndarray) -> tuple[np.ndarray, np.nd
     """Batched G(u): values and the index of the maximizing vertex per row."""
     scores = U @ s.verts_p.T + s.verts_t
     idx = np.argmax(scores, axis=1)
-    return scores[np.arange(len(U)), idx], idx
+    return scores.take(np.arange(0, scores.size, scores.shape[1]) + idx), idx
 
 
 def surrogate_values_and_subgradients(
-    s: EmbeddingSurrogate, U: np.ndarray, ys: np.ndarray
+    s: EmbeddingSurrogate, U: np.ndarray, targets: Targets
 ) -> tuple[np.ndarray, np.ndarray]:
     """L(u, y) = G(u) - u_y and a subgradient for each row, from one vertex argmax.
 
@@ -240,22 +240,19 @@ def surrogate_values_and_subgradients(
     training only ever needs some element of the subdifferential.
     """
     G, idx = game_values(s, U)
-    rows = np.arange(len(U))
-    grads = s.verts_p[idx]
-    grads[rows, ys] -= 1.0
-    return G - U[rows, ys], grads
+    grads = s.verts_p.take(idx, axis=0)
+    grads -= targets.onehot  # subtracting 0.0 leaves every other entry's bits
+    return G - U.take(targets.flat), grads
 
 
-def surrogate_values(s: EmbeddingSurrogate, U: np.ndarray, ys: np.ndarray) -> np.ndarray:
+def surrogate_values(s: EmbeddingSurrogate, U: np.ndarray, ys) -> np.ndarray:
     """L(u, y) for each row u of U and label y of ys."""
-    return surrogate_values_and_subgradients(s, U, ys)[0]
+    return surrogate_values_and_subgradients(s, U, label_targets(ys, s.n_labels))[0]
 
 
-def surrogate_subgradients(
-    s: EmbeddingSurrogate, U: np.ndarray, ys: np.ndarray
-) -> np.ndarray:
+def surrogate_subgradients(s: EmbeddingSurrogate, U: np.ndarray, ys) -> np.ndarray:
     """A subgradient of L(., y) at each row u of U, for the label y of ys."""
-    return surrogate_values_and_subgradients(s, U, ys)[1]
+    return surrogate_values_and_subgradients(s, U, label_targets(ys, s.n_labels))[1]
 
 
 def link_many(s: EmbeddingSurrogate, U: np.ndarray) -> np.ndarray:

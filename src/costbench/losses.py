@@ -13,7 +13,7 @@ from functools import partial, reduce
 
 import numpy as np
 
-from .costs import CostMatrix, confusion, cost_sensitive_loss
+from .costs import CostMatrix, Targets, check_range, label_targets
 from .embedding import (
     EmbeddingSurrogate,
     build_embedding_surrogate,
@@ -68,23 +68,21 @@ class NonFiniteScores(ValueError):
     """A loss was handed non-finite scores: the inputs or the model blew up."""
 
 
-def _check_scores(scores) -> np.ndarray:
+def _check_scores(scores, targets: Targets) -> np.ndarray:
     scores = np.asarray(scores, dtype=float)
+    if len(scores) != len(targets.labels):
+        raise ValueError(f"{len(scores)} score rows for {len(targets.labels)} labels")
     if not np.isfinite(scores).all():
         raise NonFiniteScores("scores must be finite")
     return scores
 
 
-def cross_entropy_batch(scores: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def cross_entropy_batch(scores: np.ndarray, targets: Targets) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample negative log softmax likelihood and its score gradient."""
-    scores = _check_scores(scores)
-    ys = np.asarray(ys, dtype=int)
-    ls = log_softmax(scores)
-    rows = np.arange(len(scores))
-    vals = -ls[rows, ys]
+    ls = log_softmax(_check_scores(scores, targets))
     grads = np.exp(ls)
-    grads[rows, ys] -= 1.0
-    return vals, grads
+    grads -= targets.onehot  # subtracting 0.0 leaves every other entry's bits
+    return -ls.take(targets.flat), grads
 
 
 def class_weights(cost: CostMatrix) -> np.ndarray:
@@ -93,25 +91,24 @@ def class_weights(cost: CostMatrix) -> np.ndarray:
 
 
 def scaled_cross_entropy_batch(
-    weights: np.ndarray, scores: np.ndarray, ys: np.ndarray
+    weights: np.ndarray, scores: np.ndarray, targets: Targets
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cross-entropy of each sample scaled by its label's class weight."""
-    vals, grads = cross_entropy_batch(scores, ys)
-    w = weights[np.asarray(ys, dtype=int)]
-    return w * vals, w[:, None] * grads
+    vals, grads = cross_entropy_batch(scores, targets)
+    w = weights.take(targets.labels)
+    grads *= w[:, None]
+    return w * vals, grads
 
 
 def embedding_raw_batch(
-    s: EmbeddingSurrogate, U: np.ndarray, ys: np.ndarray
+    s: EmbeddingSurrogate, U: np.ndarray, targets: Targets
 ) -> tuple[np.ndarray, np.ndarray]:
     """Surrogate loss on directly-predicted points, with exact subgradients."""
-    U = _check_scores(U)
-    ys = np.asarray(ys, dtype=int)
-    return surrogate_values_and_subgradients(s, U, ys)
+    return surrogate_values_and_subgradients(s, _check_scores(U, targets), targets)
 
 
 def embedding_softmax_batch(
-    s: EmbeddingSurrogate, logits: np.ndarray, ys: np.ndarray
+    s: EmbeddingSurrogate, logits: np.ndarray, targets: Targets
 ) -> tuple[np.ndarray, np.ndarray]:
     """Surrogate loss at softmax-weighted combinations of embedded points.
 
@@ -119,8 +116,7 @@ def embedding_softmax_batch(
     The gradient chains the surrogate subgradient through the softmax
     Jacobian: grad = q * (Phi g) - q <q, Phi g>.
     """
-    logits = _check_scores(logits)
-    ys = np.asarray(ys, dtype=int)
+    logits = _check_scores(logits, targets)
     rep_phi = s.rep_phi
     if logits.shape[1] != len(rep_phi):
         raise ValueError(
@@ -129,23 +125,21 @@ def embedding_softmax_batch(
         )
     q = softmax(logits)
     U = q @ rep_phi
-    vals, g_u = surrogate_values_and_subgradients(s, U, ys)
+    vals, g_u = surrogate_values_and_subgradients(s, U, targets)
     proj = g_u @ rep_phi.T                      # (n, n_rep)
     grads = q * (proj - _rowsum(q * proj))
     return vals, grads
 
 
-def weighted_hinge_batch(a: float, scale: float, U: np.ndarray, ys: np.ndarray):
+def weighted_hinge_batch(a: float, scale: float, U: np.ndarray, targets: Targets):
     """Scalar hinge on a (n, 1) score column, a = c_fp / (c_fp + c_fn).
 
     L(u, 1) = scale (1-a)/2 max(0, 1-u) and L(u, 0) = scale a/2 max(0, 1+u)
     reproduce the costs at the embedded points u = -1 and u = +1, with
     scale = c_fp + c_fn; the linked decision is sign(u), ties to label 0.
     """
-    U = _check_scores(U)
-    u = U[:, 0]
-    ys = np.asarray(ys, dtype=int)
-    pos = ys == 1
+    u = _check_scores(U, targets)[:, 0]
+    pos = targets.labels == 1
     vals = scale * np.where(
         pos,
         (1.0 - a) / 2.0 * np.maximum(0.0, 1.0 - u),
@@ -207,6 +201,7 @@ class BoundLoss:
     def __init__(self, kind: str, cost: CostMatrix):
         check_loss(kind, cost)
         self.kind = kind
+        self.n_labels = cost.n_labels
         self.surrogate: EmbeddingSurrogate | None = None
         self.out_dim = cost.n_labels
         self._link = None  # scores -> decision input; None is the identity
@@ -235,9 +230,13 @@ class BoundLoss:
                 self._link = partial(_softmax_link, s)
                 self.out_dim = len(s.rep_phi)
 
-    def batch(self, scores: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-sample loss values and gradients with respect to scores."""
-        return self._batch(scores, ys)
+    def targets(self, ys) -> Targets:
+        """The labels, validated and encoded once for every batch call on them."""
+        return label_targets(ys, self.n_labels)
+
+    def batch(self, scores: np.ndarray, targets: Targets) -> tuple[np.ndarray, np.ndarray]:
+        """Per-sample loss values and score gradients; targets(ys) labels the rows."""
+        return self._batch(scores, targets)
 
     def link_input(self, scores: np.ndarray) -> np.ndarray:
         """Map raw model scores to the space the decision consumes."""
@@ -273,9 +272,9 @@ def postprocess_search(
     returned weights' validation cost never exceeds plain argmax's.
     """
     scores_val = np.asarray(scores_val, dtype=float)
-    labels_val = np.asarray(labels_val, dtype=int)
-    if len(scores_val) == 0:
-        raise ValueError("validation set is empty")
+    labels_val = check_range(labels_val, cost.n_labels, "labels")
+    if len(scores_val) == 0 or labels_val.shape != (len(scores_val),):
+        raise ValueError("need a nonempty validation set with one label per score row")
     if n_candidates < 1:
         raise ValueError("need at least one candidate")
     k = scores_val.shape[1]
@@ -283,13 +282,15 @@ def postprocess_search(
         raise ValueError("weighted argmax needs one score per report")
     rng = np.random.default_rng(rng_seed)
     cands = np.vstack([np.full((1, k), 1.0 / k), rng.dirichlet(np.ones(k), n_candidates)])
-    probs = softmax(scores_val)
-    best_w, best_csl = None, np.inf
-    for w in cands:
-        preds = np.argmax(probs * w, axis=1)
-        csl = cost_sensitive_loss(
-            confusion(preds, labels_val, cost.n_reports, cost.n_labels), cost
-        )
+    preds = np.argmax(softmax(scores_val)[None] * cands[:, None], axis=2)  # (cands, n)
+    # Row c holds candidate c's confusion counts, laid out as cost.entries.ravel().
+    shape = (len(cands), *cost.entries.shape)
+    cells = np.ravel_multi_index((np.arange(len(cands))[:, None], preds, labels_val), shape)
+    counts = np.bincount(cells.ravel(), minlength=np.prod(shape)).reshape(len(cands), -1)
+    # Each row sums as cost_sensitive_loss sums its flattened product.
+    csls = (counts * cost.entries.ravel()).sum(axis=1) / len(labels_val)
+    best, best_csl = 0, np.inf
+    for i, csl in enumerate(csls.tolist()):
         if csl < best_csl - 1e-15:
-            best_w, best_csl = w, csl
-    return best_w
+            best, best_csl = i, csl
+    return cands[best]

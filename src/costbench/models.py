@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import CostMatrix, accuracy as cm_accuracy, confusion, cost_sensitive_loss
+from .costs import CostMatrix, Targets, confusion, cost_sensitive_loss
+from .costs import accuracy as cm_accuracy
 from .losses import BoundLoss, NonFiniteScores
 
 # Weight init: uniform(-INIT_SCALE/sqrt(fan_in), +INIT_SCALE/sqrt(fan_in)).
@@ -69,17 +70,18 @@ def init_model(spec: ModelSpec) -> Params:
     return params
 
 
-def _forward_cache(params: Params, x: np.ndarray):
+def _forward_cache(params: Params, x: np.ndarray, out: np.ndarray | None = None):
+    """Scores of x and the input of every layer; the scores are written to out if given."""
     acts = [x]
-    h = x
-    for i, (w, b) in enumerate(params):
-        z = h @ w + b
-        if i < len(params) - 1:
-            h = np.maximum(z, 0.0)
-        else:
-            h = z
-        acts.append(h)
-    return h, acts
+    for w, b in params[:-1]:
+        z = acts[-1] @ w
+        z += b
+        acts.append(np.maximum(z, 0.0, out=z))
+    w, b = params[-1]
+    scores = np.matmul(acts[-1], w, out=out)
+    scores += b
+    acts.append(scores)
+    return scores, acts
 
 
 def forward(params: Params, x) -> np.ndarray:
@@ -107,10 +109,10 @@ def _backward(params: Params, acts, grad_scores: np.ndarray) -> Params:
 
 
 def mean_loss_and_param_grads(
-    params: Params, loss: BoundLoss, x: np.ndarray, y: np.ndarray
+    params: Params, loss: BoundLoss, x: np.ndarray, targets: Targets
 ):
     scores, acts = _forward_cache(params, x)
-    vals, grad_scores = loss.batch(scores, y)
+    vals, grad_scores = loss.batch(scores, targets)
     n = len(x)
     return float(vals.mean()), _backward(params, acts, grad_scores / n)
 
@@ -141,12 +143,12 @@ def train(
     per-epoch selection criterion: a callable from the epoch's validation
     scores to a float, lower is better.
 
-    Each epoch makes one loss pass: one forward pass per split, then one
-    `loss.batch` call on the train and val scores stacked row-wise. Per-sample
-    losses are independent by row, so both history columns are the split means
-    a separate call per split would give. Step e + 1 backpropagates the train
-    rows of that pass. A split of one row keeps its own `loss.batch` call:
-    numpy runs a one-row matmul as a matrix-vector product, which rounds
+    Each epoch makes one loss pass: one forward pass per split into its row
+    block of a fresh array, then one `loss.batch` call on the stacked scores.
+    Per-sample losses are independent by row, so both history columns are the
+    split means a separate call per split would give. Step e + 1 backpropagates
+    the train rows of that pass. A split of one row keeps its own `loss.batch`
+    call: numpy runs a one-row matmul as a matrix-vector product, which rounds
     unlike a row of a matrix product, and the embedding losses use matmuls.
 
     Non-finite scores or losses at the parameters after step e >= 1, on either
@@ -164,21 +166,26 @@ def train(
         )
     params = init_model(spec)
     lr = cfg.learning_rate
-    y_all = np.concatenate([y_tr, y_va])
     stack = min(n_tr, n_va) > 1
+    if stack:
+        t_all = loss.targets(np.concatenate([y_tr, y_va]))
+    else:
+        t_tr, t_va = loss.targets(y_tr), loss.targets(y_va)
     history = np.empty((cfg.n_epochs + 1, 2))
     best_epoch, best_sel = 0, np.inf
 
     for epoch in range(cfg.n_epochs + 1):
         # Two matmuls per layer: one over the stacked inputs may round
-        # differently, since BLAS can block the rows another way.
-        s_tr, acts = _forward_cache(params, x_tr)
-        s_va, _ = _forward_cache(params, x_va)
+        # differently, since BLAS can block the rows another way. The array
+        # is fresh each epoch, so selection_metric may keep s_va.
+        scores = np.empty((n_tr + n_va, spec.out_dim))
+        _, acts = _forward_cache(params, x_tr, scores[:n_tr])
+        s_va = _forward_cache(params, x_va, scores[n_tr:])[0]
         try:
             if stack:
-                vals, g = loss.batch(np.concatenate([s_tr, s_va]), y_all)
+                vals, g = loss.batch(scores, t_all)
             else:
-                (vals, g), (v_va, _) = loss.batch(s_tr, y_tr), loss.batch(s_va, y_va)
+                (vals, g), (v_va, _) = loss.batch(scores[:n_tr], t_tr), loss.batch(s_va, t_va)
                 vals = np.concatenate([vals, v_va])
         except NonFiniteScores as exc:
             if epoch == 0:
@@ -229,7 +236,7 @@ def evaluate(
     counts = confusion(preds, y, cost.n_reports, cost.n_labels)
     csl = cost_sensitive_loss(counts, cost)
     acc = cm_accuracy(counts) if cost.is_square else None
-    vals, _ = model.loss.batch(scores, y)
+    vals, _ = model.loss.batch(scores, model.loss.targets(y))
     costs = cost.entries[preds, y]
     se = float(costs.std(ddof=1) / np.sqrt(len(costs))) if len(costs) > 1 else 0.0
     return EvalResult(csl, acc, counts, float(vals.mean()), se)
@@ -259,9 +266,9 @@ def gradient_check(
         keep &= np.abs(act @ w + b).min(axis=1) > margin
     if not keep.any():
         raise ValueError("every sample sits at a kink; enlarge the batch")
-    x, y = x[keep], y[keep]
+    x, targets = x[keep], loss.targets(y[keep])
 
-    _, grads = mean_loss_and_param_grads(params, loss, x, y)
+    _, grads = mean_loss_and_param_grads(params, loss, x, targets)
     flat_grads = np.concatenate([a.ravel() for layer in grads for a in layer])
 
     flat = np.concatenate([a.ravel() for layer in params for a in layer])
@@ -279,7 +286,7 @@ def gradient_check(
         up_dn = []
         for value in (flat[c] + h, flat[c] - h):
             moved[c] = value
-            vals, _ = loss.batch(_forward_cache(moved_params, x)[0], y)
+            vals, _ = loss.batch(_forward_cache(moved_params, x)[0], targets)
             up_dn.append(float(vals.mean()))
         moved[c] = flat[c]
         fd = (up_dn[0] - up_dn[1]) / (2 * h)

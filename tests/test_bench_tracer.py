@@ -61,3 +61,20 @@ def test_traced_run_records_a_decide_span_per_cell(tracer):
                              "models.evaluate", "losses.decide_batch"): len(rows)}
     post = profile.sum(tracer.CALLS, leaf=lambda name: name == "losses.postprocess_search")
     assert post == cfg.n_seeds
+
+
+def test_traced_train_makes_one_loss_pass_per_epoch(tracer):
+    # The loss layer stays visible inside training: every epoch, the initial
+    # model's included, makes exactly one traced `BoundLoss.batch` call.
+    cfg = harness.ExperimentConfig(n_samples=60, losses=LOSS_KINDS, n_epochs=2,
+                                   n_seeds=1, workers=1)
+    with tracer.Tracer().installed() as t:
+        rows = harness.run_experiment(cfg)
+    profile, _ = t.take()
+    assert not any(r.failed for r in rows)
+    train_path = ("harness.run_experiment", "harness.run_cell", "models.train")
+    assert profile[train_path][tracer.CALLS] == len(LOSS_KINDS)
+    # One cell per loss kind, so each kind's count is one train span's.
+    under_train = {path[-1]: rec[tracer.CALLS] for path, rec in profile.items()
+                   if path[:-1] == train_path and path[-1].startswith("losses.batch.")}
+    assert under_train == {f"losses.batch.{kind}": cfg.n_epochs + 1 for kind in LOSS_KINDS}

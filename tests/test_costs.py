@@ -154,6 +154,18 @@ def test_confusion_order_invariance(rng):
     assert np.array_equal(a, b)
 
 
+def test_confusion_matches_per_pair_counting(rng):
+    for n_reports, n_labels in [(2, 2), (3, 2), (3, 3), (8, 8)]:
+        for n in (0, 1, 500):
+            preds = rng.integers(0, n_reports, n)
+            labels = rng.integers(0, n_labels, n)
+            want = np.zeros((n_reports, n_labels), dtype=np.int64)
+            np.add.at(want, (preds, labels), 1)
+            got = confusion(preds, labels, n_reports, n_labels)
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+            assert not got.flags.writeable
+
+
 def test_confusion_length_mismatch():
     with pytest.raises(ValueError):
         confusion([0, 1], [0], 2, 2)

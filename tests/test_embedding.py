@@ -45,7 +45,7 @@ def hinge(alpha):
 
 def hinge_values(loss, us, y):
     us = np.atleast_1d(np.asarray(us, dtype=float))
-    return loss.batch(us[:, None], np.full(len(us), y))[0]
+    return loss.batch(us[:, None], loss.targets(np.full(len(us), y)))[0]
 
 
 def hinge_link(us):

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from costbench.costs import (
     binary_alpha_matrix,
+    label_targets,
     confusion,
     cost_sensitive_loss,
     severity_three_class_matrix,
@@ -98,12 +100,12 @@ def test_softmax_kernels_other_ranks(shape, rng):
 
 def test_ce_uniform_scores():
     for k in (2, 3, 5):
-        (v,), _ = cross_entropy_batch(np.zeros((1, k)), [0])
+        (v,), _ = cross_entropy_batch(np.zeros((1, k)), label_targets([0], k))
         assert v == pytest.approx(np.log(k), abs=1e-12)
 
 
 def test_ce_huge_scores_stable():
-    (v,), (g,) = cross_entropy_batch(np.array([[1000.0, 0.0]]), [0])
+    (v,), (g,) = cross_entropy_batch(np.array([[1000.0, 0.0]]), label_targets([0], 2))
     assert np.isfinite(v) and abs(v) < 1e-12
     assert np.all(np.isfinite(g))
 
@@ -112,15 +114,16 @@ def test_ce_rejects_non_finite():
     # A ValueError subclass, so the CLI still exits 2 on non-finite input.
     assert issubclass(NonFiniteScores, ValueError)
     with pytest.raises(NonFiniteScores):
-        cross_entropy_batch(np.array([[np.inf, 0.0]]), [0])
+        cross_entropy_batch(np.array([[np.inf, 0.0]]), label_targets([0], 2))
 
 
 def test_ce_gradient_finite_difference(rng):
     for _ in range(100):
         s = rng.normal(size=4) * 3
         y = int(rng.integers(4))
-        _, (g,) = cross_entropy_batch(s[None], [y])
-        fd = finite_diff(lambda u: cross_entropy_batch(u[None], [y])[0][0], s)
+        t = label_targets([y], 4)
+        _, (g,) = cross_entropy_batch(s[None], t)
+        fd = finite_diff(lambda u: cross_entropy_batch(u[None], t)[0][0], s)
         assert np.allclose(g, fd, rtol=1e-6, atol=1e-8)
 
 
@@ -132,9 +135,10 @@ def test_ce_strictly_convex_midpoint(seed):
     if np.ptp(a - b) < 1e-6:  # constant direction: CE is flat there
         return
     y = int(rng.integers(3))
-    mid = cross_entropy_batch(((a + b) / 2)[None], [y])[0][0]
-    avg = (0.5 * cross_entropy_batch(a[None], [y])[0][0]
-           + 0.5 * cross_entropy_batch(b[None], [y])[0][0])
+    t = label_targets([y], 3)
+    mid = cross_entropy_batch(((a + b) / 2)[None], t)[0][0]
+    avg = (0.5 * cross_entropy_batch(a[None], t)[0][0]
+           + 0.5 * cross_entropy_batch(b[None], t)[0][0])
     assert mid < avg + 1e-12
 
 
@@ -155,13 +159,14 @@ def test_class_weights_zero_one_gives_plain_ce(rng):
     w = class_weights(cost)
     assert np.allclose(w, [0.5, 0.5])
     s = rng.normal(size=2)
-    (plain,), _ = cross_entropy_batch(s[None], [1])
-    (scaled,), _ = scaled_cross_entropy_batch(w, s[None], [1])
+    (plain,), _ = cross_entropy_batch(s[None], label_targets([1], 2))
+    (scaled,), _ = scaled_cross_entropy_batch(w, s[None], label_targets([1], 2))
     assert scaled == pytest.approx(0.5 * plain)
 
 
 def test_scaled_ce_severity_value():
-    (v,), _ = scaled_cross_entropy_batch(class_weights(STUDENT), np.zeros((1, 3)), [2])
+    (v,), _ = scaled_cross_entropy_batch(class_weights(STUDENT), np.zeros((1, 3)),
+                                         label_targets([2], 3))
     assert v == pytest.approx((8 / 3) * np.log(3), abs=1e-12)
 
 
@@ -170,8 +175,9 @@ def test_scaled_ce_gradient_finite_difference(rng):
     for _ in range(100):
         s = rng.normal(size=3) * 2
         y = int(rng.integers(3))
-        _, (g,) = scaled_cross_entropy_batch(w, s[None], [y])
-        fd = finite_diff(lambda u: scaled_cross_entropy_batch(w, u[None], [y])[0][0], s)
+        t = label_targets([y], 3)
+        _, (g,) = scaled_cross_entropy_batch(w, s[None], t)
+        fd = finite_diff(lambda u: scaled_cross_entropy_batch(w, u[None], t)[0][0], s)
         assert np.allclose(g, fd, rtol=1e-6, atol=1e-8)
 
 
@@ -189,7 +195,7 @@ def test_embedding_softmax_saturated(student_surrogate):
         logits = np.full(3, -40.0)
         logits[r] = 40.0
         for y in range(3):
-            (v,), _ = embedding_softmax_batch(s, logits[None], [y])
+            (v,), _ = embedding_softmax_batch(s, logits[None], label_targets([y], 3))
             assert v == pytest.approx(STUDENT.entries[r, y], abs=1e-8)
 
 
@@ -198,7 +204,7 @@ def test_embedding_softmax_uniform_binary():
     logits = np.zeros(2)
     u = srg.phi.mean(axis=0)
     for y in (0, 1):
-        (v,), _ = embedding_softmax_batch(srg, logits[None], [y])
+        (v,), _ = embedding_softmax_batch(srg, logits[None], label_targets([y], 2))
         assert v == pytest.approx(surrogate_values(srg, u[None], [y])[0], abs=1e-12)
 
 
@@ -213,15 +219,16 @@ def test_embedding_softmax_gradient_finite_difference(student_surrogate, rng):
         top = np.sort(scores)[-2:]
         if top[1] - top[0] < 1e-4:
             continue
-        _, (g,) = embedding_softmax_batch(s, logits[None], [y])
-        fd = finite_diff(lambda t: embedding_softmax_batch(s, t[None], [y])[0][0], logits)
+        t_y = label_targets([y], 3)
+        _, (g,) = embedding_softmax_batch(s, logits[None], t_y)
+        fd = finite_diff(lambda t: embedding_softmax_batch(s, t[None], t_y)[0][0], logits)
         assert np.allclose(g, fd, rtol=1e-5, atol=1e-7)
         checked += 1
 
 
 def test_embedding_softmax_wrong_width(student_surrogate):
     with pytest.raises(ValueError):
-        embedding_softmax_batch(student_surrogate, np.zeros((1, 4)), [0])
+        embedding_softmax_batch(student_surrogate, np.zeros((1, 4)), label_targets([0], 3))
 
 
 @pytest.mark.parametrize("name", ["student", "alpha6", "synthetic", "german",
@@ -241,7 +248,7 @@ def test_fused_embedding_batches_match_separate_calls(name, rng):
     mids = (phi[:, None, :] + phi[None, :, :]).reshape(-1, phi.shape[1]) / 2.0
     U = np.vstack([rng.normal(scale=2.0, size=(200, phi.shape[1])), phi, mids])
     ys = rng.integers(0, s.n_labels, len(U))
-    vals, grads = embedding_raw_batch(s, U, ys)
+    vals, grads = embedding_raw_batch(s, U, label_targets(ys, s.n_labels))
     # surrogate_values shares the code under test, so the reference is the
     # formula itself: G(u) - u_y, and the maximizing vertex minus e_y.
     G, idx = game_values(s, U)
@@ -256,7 +263,7 @@ def test_fused_embedding_batches_match_separate_calls(name, rng):
     U = q @ rep_phi
     proj = surrogate_subgradients(s, U, ys) @ rep_phi.T
     want_grads = q * (proj - (q * proj).sum(axis=1, keepdims=True))
-    vals, grads = embedding_softmax_batch(s, logits, ys)
+    vals, grads = embedding_softmax_batch(s, logits, label_targets(ys, s.n_labels))
     assert np.array_equal(vals, surrogate_values(s, U, ys))
     assert np.array_equal(grads, want_grads)
 
@@ -310,7 +317,7 @@ def test_bound_loss_batches_match_singles(rng):
         loss = BoundLoss(kind, STUDENT)
         S = rng.normal(size=(7, loss.out_dim)) * 2
         ys = rng.integers(0, 3, size=7)
-        vals, grads = loss.batch(S, ys)
+        vals, grads = loss.batch(S, loss.targets(ys))
         assert vals.shape == (7,) and grads.shape == S.shape
         assert np.all(vals >= -1e-10)
 
@@ -331,11 +338,109 @@ def test_stacked_batch_matches_separate_calls(name):
         for n_tr, n_va in [(2, 2), (37, 13), (300, 100), (600, 200)]:
             scores = rng.normal(scale=3.0, size=(n_tr + n_va, loss.out_dim))
             ys = rng.integers(0, cost.n_labels, n_tr + n_va)
-            vals, grads = loss.batch(scores, ys)
+            vals, grads = loss.batch(scores, loss.targets(ys))
             for part in (slice(0, n_tr), slice(n_tr, None)):
-                want_vals, want_grads = loss.batch(scores[part], ys[part])
+                want_vals, want_grads = loss.batch(scores[part], loss.targets(ys[part]))
                 _assert_same_bits(vals[part], want_vals)
                 _assert_same_bits(grads[part], want_grads)
+
+
+# --- kernels against the fancy-index formulas they replaced ----------------------
+#
+# The kernels gather with flat-index `take` and scatter by subtracting the
+# one-hot labels. These references keep the row/label fancy indexing the
+# kernels used before, and every kernel must match them bit for bit.
+
+
+def _ref_cross_entropy(scores, ys):
+    ls = log_softmax(scores)
+    rows = np.arange(len(scores))
+    vals = -ls[rows, ys]
+    grads = np.exp(ls)
+    grads[rows, ys] -= 1.0
+    return vals, grads
+
+
+def _ref_game_values(s, U):
+    scores = U @ s.verts_p.T + s.verts_t
+    idx = np.argmax(scores, axis=1)
+    return scores[np.arange(len(U)), idx], idx
+
+
+def _ref_surrogate(s, U, ys):
+    G, idx = _ref_game_values(s, U)
+    rows = np.arange(len(U))
+    grads = s.verts_p[idx]
+    grads[rows, ys] -= 1.0
+    return G - U[rows, ys], grads
+
+
+def _ref_batch(loss, cost, scores, ys):
+    """The loss's batch on labels ys, with the gathers and scatters indexed by row."""
+    if loss.kind == "cross_entropy":
+        return _ref_cross_entropy(scores, ys)
+    if loss.kind == "scaled_cross_entropy":
+        vals, grads = _ref_cross_entropy(scores, ys)
+        w = class_weights(cost)[ys]
+        return w * vals, w[:, None] * grads
+    if loss.kind == "embedding":
+        return _ref_surrogate(loss.surrogate, scores, ys)
+    if loss.kind == "embedding_softmax":
+        s = loss.surrogate
+        q = softmax(scores)
+        vals, g_u = _ref_surrogate(s, q @ s.rep_phi, ys)
+        proj = g_u @ s.rep_phi.T
+        return vals, q * (proj - (q * proj).sum(axis=1, keepdims=True))
+    return loss.batch(scores, loss.targets(ys))  # weighted_hinge gathers nothing
+
+
+def _kink_scores(loss, n, rng):
+    """Random scores with exact ties, and points on kinks of the embedding losses."""
+    scores = rng.normal(scale=3.0, size=(n, loss.out_dim))
+    scores[::3] = scores[::3, :1]  # every score of the row tied
+    if loss.surrogate is not None:
+        s = loss.surrogate
+        phi = s.phi if loss.kind == "embedding" else np.eye(len(s.rep_phi)) * 1000.0
+        mids = (phi[:, None, :] + phi[None, :, :]).reshape(-1, phi.shape[1]) / 2.0
+        kinks = np.vstack([phi, mids])  # several game vertices tie at each
+        scores[1::3] = kinks[np.arange(len(scores[1::3])) % len(kinks)]
+    return scores
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 300, 400])
+@pytest.mark.parametrize("name", sorted(stock_matrices()))
+def test_kernels_match_fancy_index_formulas(name, n):
+    cost = stock_matrices()[name]
+    rng = np.random.default_rng(n)
+    for kind in LOSS_KINDS:
+        if kind == "weighted_hinge" and cost.entries.shape != (2, 2):
+            continue
+        loss = BoundLoss(kind, cost)
+        scores = _kink_scores(loss, n, rng)
+        ys = rng.integers(0, cost.n_labels, n)
+        vals, grads = loss.batch(scores, loss.targets(ys))
+        want_vals, want_grads = _ref_batch(loss, cost, scores, ys)
+        _assert_same_bits(vals, want_vals)
+        _assert_same_bits(grads, want_grads)
+        if loss.surrogate is not None:
+            U = scores if kind == "embedding" else softmax(scores) @ loss.surrogate.rep_phi
+            for got, want in zip(game_values(loss.surrogate, U),
+                                 _ref_game_values(loss.surrogate, U)):
+                _assert_same_bits(got, want)
+
+
+@pytest.mark.parametrize("kind", LOSS_KINDS)
+def test_targets_reject_labels_out_of_range(kind):
+    loss = BoundLoss(kind, ALPHA6)
+    scores = np.zeros((2, loss.out_dim))
+    for ys in ([-1, 0], [0, 2]):
+        with pytest.raises(ValueError, match=re.escape("labels must lie in [0, 2)")):
+            loss.batch(scores, loss.targets(ys))
+    t = loss.targets([1, 0])
+    assert np.array_equal(t.labels, [1, 0]) and np.array_equal(t.flat, [1, 2])
+    assert np.array_equal(t.onehot, [[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(ValueError, match="3 score rows for 2 labels"):
+        loss.batch(np.zeros((3, loss.out_dim)), t)
 
 
 # --- decisions -------------------------------------------------------------------
@@ -507,6 +612,53 @@ def test_postprocess_favors_costly_class(rng):
     assert w.shape == (2,) and np.all(w > 0)
     assert w[1] > w[0]  # leans toward predicting +1
     assert _val_csl(scores, labels, cost, w) <= _val_csl(scores, labels, cost)
+
+
+def _ref_postprocess_search(scores_val, labels_val, cost, n_candidates, rng_seed):
+    """postprocess_search as a loop that scores one candidate at a time."""
+    k = scores_val.shape[1]
+    rng = np.random.default_rng(rng_seed)
+    cands = np.vstack([np.full((1, k), 1.0 / k), rng.dirichlet(np.ones(k), n_candidates)])
+    probs = softmax(scores_val)
+    best_w, best_csl = None, np.inf
+    for w in cands:
+        preds = np.argmax(probs * w, axis=1)
+        csl = cost_sensitive_loss(
+            confusion(preds, labels_val, cost.n_reports, cost.n_labels), cost
+        )
+        if csl < best_csl - 1e-15:
+            best_w, best_csl = w, csl
+    return best_w
+
+
+SQUARE_STOCK = sorted(name for name, cost in stock_matrices().items() if cost.is_square)
+
+
+@pytest.mark.parametrize("name", SQUARE_STOCK)
+@given(seed=st.integers(0, 10**6), n_candidates=st.sampled_from([1, 100]),
+       equal=st.booleans())
+@settings(max_examples=25, deadline=None)
+def test_postprocess_matches_per_candidate_loop(name, seed, n_candidates, equal):
+    cost = stock_matrices()[name]
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 300))
+    labels = rng.integers(0, cost.n_labels, n)
+    scores = np.zeros((n, cost.n_reports))
+    if not equal:
+        scores = rng.normal(scale=rng.uniform(0.1, 3.0), size=scores.shape)
+        scores += 1.5 * (labels[:, None] == np.arange(cost.n_reports))
+    got = postprocess_search(scores, labels, cost, n_candidates, rng_seed=seed)
+    want = _ref_postprocess_search(scores, labels, cost, n_candidates, seed)
+    assert np.array_equal(got, want)
+
+
+def test_postprocess_rejects_labels_out_of_range():
+    scores = np.zeros((3, 2))
+    for labels in ([0, 1, 2], [-1, 0, 1]):
+        with pytest.raises(ValueError, match=re.escape("[0, 2)")):
+            postprocess_search(scores, labels, ALPHA6, 10, 0)
+    with pytest.raises(ValueError, match="one label per score row"):
+        postprocess_search(scores, [0, 1], ALPHA6, 10, 0)
 
 
 def test_postprocess_deterministic(rng):

@@ -15,6 +15,7 @@ from costbench.models import (
     TrainConfig,
     TrainedModel,
     TrainingDiverged,
+    _forward_cache,
     evaluate,
     forward,
     gradient_check,
@@ -100,6 +101,21 @@ def test_forward_rejects_inputs_that_are_not_rows():
             forward(params, np.ones(shape))
 
 
+@pytest.mark.parametrize("hidden", [(), (16, 16)])
+@pytest.mark.parametrize("n", [1, 2, 7, 300])
+def test_forward_into_a_row_block_matches_a_fresh_array(hidden, n, rng):
+    params = init_model(ModelSpec(2, 3, hidden_dims=hidden, init_seed=4))
+    x = rng.normal(size=(n, 2))
+    want, want_acts = _forward_cache(params, x)
+    out = np.full((n + 5, 3), np.nan)
+    got, acts = _forward_cache(params, x, out[2:n + 2])
+    assert np.shares_memory(got, out)
+    assert want.tobytes() == got.tobytes()
+    assert np.isnan(out[:2]).all() and np.isnan(out[n + 2:]).all()
+    for a, b in zip(acts, want_acts, strict=True):
+        assert a.tobytes() == b.tobytes()
+
+
 # --- training ----------------------------------------------------------------
 
 
@@ -148,7 +164,7 @@ def test_best_epoch_attains_min_val(rng):
                   TrainConfig(learning_rate=0.5, n_epochs=200))
     assert model.history[model.best_epoch, 1] == model.history[:, 1].min()
     # Reported parameters reproduce exactly that validation loss.
-    vals, _ = loss.batch(forward(model.params, x[40:]), y[40:])
+    vals, _ = loss.batch(forward(model.params, x[40:]), loss.targets(y[40:]))
     assert vals.mean() == pytest.approx(model.history[model.best_epoch, 1], abs=1e-12)
 
 
@@ -213,6 +229,22 @@ def test_out_dim_mismatch_rejected(rng):
     with pytest.raises(ValueError):
         train(ModelSpec(2, 2, init_seed=0), loss,
               (x, y), (x, y), TrainConfig())
+
+
+@pytest.mark.parametrize("kind", LOSS_KINDS)
+def test_train_rejects_labels_out_of_range(kind, rng):
+    # A label of -1 used to train as the last label (weighted_hinge: as 0).
+    x, y = make_blobs(30, rng)
+    loss = BoundLoss(kind, ALPHA6)
+    for bad in (-1, 2):
+        y_bad = y.copy()
+        y_bad[[3, 25]] = bad
+        for tr, va in [((x[:20], y_bad[:20]), (x[20:], y[20:])),
+                       ((x[:20], y[:20]), (x[20:], y_bad[20:])),
+                       ((x[:1], y_bad[3:4]), (x[20:], y[20:]))]:
+            with pytest.raises(ValueError, match=re.escape("labels must lie in [0, 2)")):
+                train(ModelSpec(2, loss.out_dim, init_seed=0), loss, tr, va,
+                      TrainConfig(learning_rate=0.1, n_epochs=3))
 
 
 # --- evaluation ---------------------------------------------------------------
@@ -342,7 +374,7 @@ def test_gradient_check_values_pinned():
 
 
 def _reference_mean_loss(params, loss, x, y):
-    vals, _ = loss.batch(forward(params, x), y)
+    vals, _ = loss.batch(forward(params, x), loss.targets(y))
     return float(vals.mean())
 
 
@@ -378,7 +410,7 @@ def reference_train(spec, loss, train_xy, val_xy, cfg, selection_metric=None):
     best_params = [(w.copy(), b.copy()) for w, b in params]
     for epoch in range(1, cfg.n_epochs + 1):
         try:
-            _, grads = mean_loss_and_param_grads(params, loss, x_tr, y_tr)
+            _, grads = mean_loss_and_param_grads(params, loss, x_tr, loss.targets(y_tr))
             params = step(grads)
             tl, vl = epoch_losses()
         except ValueError as exc:
