@@ -6,6 +6,9 @@
 The committed files of BASE_REF and of HEAD are exported with `git archive`
 into a temporary directory, which is removed afterwards. Uncommitted edits
 therefore reach neither side, and nothing is registered in the repository.
+`TMPDIR` picks the directory the temporary one is made in; the record names
+the type of its filesystem, since some disks stall on every rewrite of the
+suite's report files and tmpfs does not.
 For each workload of BENCHMARK.json the script runs ten pairs of
 
     python3 bench/run.py --workload W --seed S --seconds <run_seconds> --trace 0
@@ -106,6 +109,21 @@ def compare(pairs: list[dict], metric: dict) -> dict:
     }
 
 
+def filesystem_type(path: Path) -> str:
+    """Type of the filesystem holding path: that of its deepest mount point."""
+    held, kind, depth = path.resolve(), "unknown", -1
+    try:
+        mounts = Path("/proc/self/mounts").read_text().splitlines()
+    except OSError:
+        return kind
+    for line in mounts:  # a later mount on the same point shadows an earlier one
+        _, point, fstype = line.split()[:3]
+        point = Path(point.replace("\\040", " "))
+        if point in (held, *held.parents) and len(point.parts) >= depth:
+            kind, depth = fstype, len(point.parts)
+    return kind
+
+
 def environment() -> dict:
     import numpy
 
@@ -119,6 +137,7 @@ def environment() -> dict:
         "cpu": cpu,
         "nproc": os.cpu_count(),
         "threads": {v: os.environ.get(v) for v in THREAD_VARIABLES},
+        "export_fs": filesystem_type(Path(tempfile.gettempdir())),
     }
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import reduce
 from pathlib import Path
 from typing import NamedTuple
 
@@ -18,6 +19,19 @@ import numpy as np
 TIE_EPS = 1e-9
 # Probability vectors must sum to 1 within this tolerance.
 SIMPLEX_SUM_EPS = 1e-12
+
+
+def reduce_last(ufunc: np.ufunc, x: np.ndarray) -> np.ndarray:
+    """ufunc.reduce(x, axis=-1), combining a short last axis left to right.
+
+    numpy's reductions along a short last axis cost far more than their
+    arithmetic. Below 8 entries numpy adds without pairwise blocking, so the
+    left-to-right sum has the axis sum's bits, except that a row of zeros may
+    sum to -0.0; maximum and minimum match exactly. Any rank and any strides.
+    """
+    if 0 < x.shape[-1] < 8:
+        return reduce(ufunc, x.T).T
+    return ufunc.reduce(x, axis=-1)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:

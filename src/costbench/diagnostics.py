@@ -208,9 +208,9 @@ def render_scatter_svg(
         f'<text x="{pad - 6}" y="{pad + 4}" text-anchor="end" font-size="11">'
         f"{y_max:.3g}</text>"
     )
-    for xi, yi in zip(x, y):
-        cx = pad + span * min(max(xi / x_max, 0.0), 1.0)
-        cy = size - pad - span * min(max(yi / y_max, 0.0), 1.0)
+    cxs = pad + span * np.minimum(np.maximum(x / x_max, 0.0), 1.0)
+    cys = size - pad - span * np.minimum(np.maximum(y / y_max, 0.0), 1.0)
+    for cx, cy in zip(cxs.tolist(), cys.tolist()):
         pieces.append(
             f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="2.2" fill="steelblue" '
             'fill-opacity="0.5"/>'

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .costs import TIE_EPS, CostMatrix, Targets, label_targets, simplex_grid
+from .costs import TIE_EPS, CostMatrix, Targets, label_targets, reduce_last, simplex_grid
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,7 +101,7 @@ class ViolationReport:
 
 def _quotient_norm(d: np.ndarray) -> np.ndarray:
     """Shift-invariant infinity norm of differences d, along the last axis."""
-    return (d.max(axis=-1) - d.min(axis=-1)) / 2.0
+    return (reduce_last(np.maximum, d) - reduce_last(np.minimum, d)) / 2.0
 
 
 def _enumerate_game_vertices(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -158,7 +158,7 @@ def min_pairwise_gap(points: np.ndarray, quotient: bool = True) -> float:
     """Smallest positive pairwise distance between rows of points; inf if none."""
     i, j = np.triu_indices(len(points), k=1)
     d = points[i] - points[j]
-    gaps = _quotient_norm(d) if quotient else np.abs(d).max(axis=-1)
+    gaps = _quotient_norm(d) if quotient else reduce_last(np.maximum, np.abs(d))
     gaps = gaps[gaps > 0]
     return float(gaps.min()) if len(gaps) else np.inf
 
@@ -335,7 +335,7 @@ def verify_embedding(s: EmbeddingSurrogate, grid_res: float = 0.01) -> Violation
     g_phi, _ = game_values(s, s.phi)
     grid = simplex_grid(s.n_labels, grid_res)
     report_costs = grid @ rows.T                      # (n_p, m)
-    lbar = report_costs.min(axis=1)
+    lbar = reduce_last(np.minimum, report_costs)
     surr_risk = g_phi[None, :] - grid @ s.phi.T       # (n_p, m)
     optimal = report_costs <= (lbar + TIE_EPS)[:, None]
     excess = surr_risk - lbar[:, None]
@@ -440,11 +440,11 @@ def verify_alpha_separation(
 
     grid = simplex_grid(s.n_labels, p_grid_res)
     report_costs = grid @ rows.T
-    gaps = report_costs - report_costs.min(axis=1, keepdims=True)
+    gaps = report_costs - reduce_last(np.minimum, report_costs)[:, None]
     optimal = gaps <= TIE_EPS
     # Distance in p-space to a tie boundary is roughly gap / row-scale.
     row_scale = np.ptp(rows, axis=0).max()
-    runner_up = np.where(optimal, np.inf, gaps).min(axis=1)
+    runner_up = reduce_last(np.minimum, np.where(optimal, np.inf, gaps))
     near_tie = runner_up <= 2.0 * p_grid_res * row_scale
 
     # One row per grid point: which report classes are optimal, then the flag.
@@ -461,7 +461,9 @@ def verify_alpha_separation(
     n_checked = 0
     prev = None
     for classes, tie_flag, first_member, n_members in groups:
-        mask = ~np.isin(psi_class, classes)
+        member = np.zeros(len(report_class), bool)
+        member[list(classes)] = True
+        mask = ~member[psi_class]
         n_checked += int(mask.sum()) * n_members
         if not mask.any():
             continue

@@ -9,11 +9,11 @@ check in the test suite.
 """
 from __future__ import annotations
 
-from functools import partial, reduce
+from functools import partial
 
 import numpy as np
 
-from .costs import CostMatrix, Targets, check_range, label_targets
+from .costs import CostMatrix, Targets, check_range, label_targets, reduce_last
 from .embedding import (
     EmbeddingSurrogate,
     build_embedding_surrogate,
@@ -30,38 +30,17 @@ LOSS_KINDS = (
 )
 
 
-# numpy's reductions along a short last axis cost far more than their
-# arithmetic. Below 8 columns numpy sums without pairwise blocking, so adding
-# the columns left to right gives the axis sum's exact bits, as the maximum
-# over the columns gives the axis maximum's.
-_NARROW = 8
-
-
-def _rowmax(x: np.ndarray) -> np.ndarray:
-    """x.max(axis=-1, keepdims=True)."""
-    if x.ndim == 2 and 0 < x.shape[1] < _NARROW:
-        return reduce(np.maximum, x.T)[:, None]
-    return x.max(axis=-1, keepdims=True)
-
-
-def _rowsum(x: np.ndarray) -> np.ndarray:
-    """x.sum(axis=-1, keepdims=True)."""
-    if x.ndim == 2 and 0 < x.shape[1] < _NARROW:
-        return reduce(np.add, x.T)[:, None]
-    return x.sum(axis=-1, keepdims=True)
-
-
 def softmax(scores: np.ndarray) -> np.ndarray:
     """Row-wise softmax with max subtraction for overflow safety."""
     scores = np.asarray(scores, dtype=float)
-    e = np.exp(scores - _rowmax(scores))
-    return e / _rowsum(e)
+    e = np.exp(scores - reduce_last(np.maximum, scores)[..., None])
+    return e / reduce_last(np.add, e)[..., None]
 
 
 def log_softmax(scores: np.ndarray) -> np.ndarray:
     scores = np.asarray(scores, dtype=float)
-    z = scores - _rowmax(scores)
-    return z - np.log(_rowsum(np.exp(z)))
+    z = scores - reduce_last(np.maximum, scores)[..., None]
+    return z - np.log(reduce_last(np.add, np.exp(z))[..., None])
 
 
 class NonFiniteScores(ValueError):
@@ -127,7 +106,7 @@ def embedding_softmax_batch(
     U = q @ rep_phi
     vals, g_u = surrogate_values_and_subgradients(s, U, targets)
     proj = g_u @ rep_phi.T                      # (n, n_rep)
-    grads = q * (proj - _rowsum(q * proj))
+    grads = q * (proj - reduce_last(np.add, q * proj)[..., None])
     return vals, grads
 
 

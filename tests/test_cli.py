@@ -286,3 +286,18 @@ def test_reproduce_tables_reports_bad_config(tmp_path, monkeypatch, capsys):
     assert script.main() == 2
     err = capsys.readouterr().err
     assert err.startswith(f"configuration error: {tmp_path / 'bad.cfg'}: [experiment] n_seeds")
+
+
+BENCH_AB = REPRODUCE_TABLES.parent / "bench_ab.py"
+
+
+@pytest.mark.skipif(not Path("/proc/self/mounts").exists(), reason="needs /proc/self/mounts")
+def test_bench_ab_names_the_filesystem_of_a_path(tmp_path):
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("bench_ab", BENCH_AB)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    # /proc/self is below the proc mount, which is deeper than the root's.
+    assert script.filesystem_type(Path("/proc/self")) == "proc"
+    assert script.filesystem_type(tmp_path) not in ("unknown", "proc")

@@ -113,3 +113,22 @@ def test_fast_suite_lines_pinned():
     for r in results:
         h.update(f"{'PASS' if r.ok else 'FAIL'} {r.name} {r.detail}\n".encode())
     assert h.hexdigest() == FAST_SUITE_LINES_SHA256
+
+
+# sha256, per rng_seed, of the full suite's PASS/FAIL lines without their
+# timings, then its regret_profile.csv and regret_scatter.svg bytes.
+FULL_SUITE_SHA256 = {
+    0: "aecb76fdc204fb6114fc47bacfb01225544c28135b72a41712ff464060e08cde",
+    1: "76e56d3e7be2693be0af1b8ee04472b86fbf0fd3fb397edf927da937ae0913ef",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(FULL_SUITE_SHA256))
+def test_full_suite_lines_and_report_bytes_pinned(seed, tmp_path):
+    _, results = run_verify(fast=False, report_dir=tmp_path, rng_seed=seed)
+    h = hashlib.sha256()
+    for r in results:
+        h.update(f"{'PASS' if r.ok else 'FAIL'} {r.name} {r.detail}\n".encode())
+    for name in ("regret_profile.csv", "regret_scatter.svg"):
+        h.update((tmp_path / name).read_bytes())
+    assert h.hexdigest() == FULL_SUITE_SHA256[seed]
