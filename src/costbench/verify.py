@@ -106,8 +106,8 @@ def run_verify(
         disagreements = 0
         for alpha in (1.0 / 6.0, 1.0 / 4.0, 1.0 / 2.0):
             cost = binary_alpha_matrix(alpha)
-            # Expected cost of each report under the exact posterior, with the
-            # same tie tolerance the enumerated rule uses.
+            # Expected cost of each report under the exact posterior; the wanted
+            # report must be within the enumerated rule's tie tolerance of the best.
             c0, c1 = eta * (1.0 - alpha), (1.0 - eta) * alpha
             want = (bayes_decision_many(x, alpha) > 0).astype(int)
             in_optimal = np.where(want == 1, c1, c0) <= np.minimum(c0, c1) + TIE_EPS
