@@ -7,8 +7,10 @@ The committed files of BASE_REF and of HEAD are exported with `git archive`
 into a temporary directory, which is removed afterwards. Uncommitted edits
 therefore reach neither side, and nothing is registered in the repository.
 `TMPDIR` picks the directory the temporary one is made in; the record names
-the type of its filesystem, since some disks stall on every rewrite of the
-suite's report files and tmpfs does not.
+the type of its filesystem, since timings can differ between a disk and
+tmpfs: some disks stall for tens of milliseconds whenever a non-empty file is
+truncated as it is opened. The verify suite's report writers no longer do
+that, but any other file the workloads rewrite would.
 For each workload of BENCHMARK.json the script runs ten pairs of
 
     python3 bench/run.py --workload W --seed S --seconds <run_seconds> --trace 0

@@ -7,8 +7,8 @@ from linear models trained on the synthetic task.
 """
 from __future__ import annotations
 
-import csv
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,19 +37,16 @@ class RegretProfile:
         return float(self.surrogate_regret[mask].min())
 
     def export_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(
-                ["loss", "link"]
-                + [f"p{i}" for i in range(self.p_points.shape[1])]
-                + [f"u{i}" for i in range(self.u_points.shape[1])]
-                + ["surrogate_regret", "target_regret"]
-            )
-            # str of a Python float is its repr: the shortest round-trip text.
-            values = np.column_stack(
-                [self.p_points, self.u_points, self.surrogate_regret, self.target_regret]
-            )
-            w.writerows(["embedding", "nearest-point", *row] for row in values.tolist())
+        header = (["loss", "link"] + [f"p{i}" for i in range(self.p_points.shape[1])]
+                  + [f"u{i}" for i in range(self.u_points.shape[1])]
+                  + ["surrogate_regret", "target_regret"])
+        values = np.column_stack(
+            [self.p_points, self.u_points, self.surrogate_regret, self.target_regret]
+        )
+        # What csv.writer writes: a float's repr, no quoting, \r\n line ends.
+        row = "embedding,nearest-point" + ",%r" * values.shape[1] + "\r\n"
+        lines = [",".join(header) + "\r\n", *map(row.__mod__, map(tuple, values.tolist()))]
+        _rewrite(path, "".join(lines), newline="")
 
 
 def embedding_regret_profile(
@@ -216,5 +213,16 @@ def render_scatter_svg(
             'fill-opacity="0.5"/>'
         )
     pieces.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(pieces))
+    _rewrite(path, "\n".join(pieces))
+
+
+def _rewrite(path, text: str, newline: str | None = None) -> None:
+    """Write text to path as open(path, "w", newline=newline) would.
+
+    An existing file is truncated after the write, at its end, not when it
+    is opened: on some disks truncating a non-empty file to zero stalls the
+    open for tens of milliseconds.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", newline=newline) as fh:
+        fh.write(text)
+        fh.truncate()

@@ -409,6 +409,18 @@ def dist_to_optimal_set(
     return best
 
 
+def _group_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct rows of a boolean array, each one's first index and count.
+
+    Each row is packed into one byte string, so the sort takes one scalar per
+    row at any width; the rows come out in the byte strings' order.
+    """
+    packed = np.packbits(keys, axis=1)
+    _, first, counts = np.unique(packed.view(f"V{packed.shape[1]}").ravel(),
+                                 return_index=True, return_counts=True)
+    return keys[first], first, counts
+
+
 def verify_alpha_separation(
     s: EmbeddingSurrogate,
     p_grid_res: float = 0.01,
@@ -449,8 +461,7 @@ def verify_alpha_separation(
 
     # One row per grid point: which report classes are optimal, then the flag.
     in_class = report_class[:, None] == np.arange(len(report_class))
-    keys = np.column_stack([optimal @ in_class, near_tie])
-    keys, first, counts = np.unique(keys, axis=0, return_index=True, return_counts=True)
+    keys, first, counts = _group_rows(np.column_stack([optimal @ in_class, near_tie]))
     groups = sorted(
         (tuple(np.flatnonzero(key[:-1]).tolist()), bool(key[-1]), int(i), int(n))
         for key, i, n in zip(keys, first, counts)

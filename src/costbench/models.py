@@ -13,6 +13,7 @@ import numpy as np
 
 from .costs import CostMatrix, Targets, confusion, cost_sensitive_loss
 from .costs import accuracy as cm_accuracy
+from .embedding import _BLOCK
 from .losses import BoundLoss, NonFiniteScores
 
 # Weight init: uniform(-INIT_SCALE/sqrt(fan_in), +INIT_SCALE/sqrt(fan_in)).
@@ -253,7 +254,8 @@ def gradient_check(
 
     Samples whose scores sit within `margin` of a polyhedral kink are
     dropped first so the steps of size `h` straddle a smooth region. For
-    large models a deterministic subset of coordinates is probed.
+    large models a deterministic subset of coordinates is probed. A NaN
+    error at any coordinate makes the result NaN.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=int)
@@ -276,20 +278,33 @@ def gradient_check(
     coords = np.arange(n)
     if n > max_coords:
         coords = np.linspace(0, n - 1, max_coords).astype(int)
-    # One coordinate of one copy moves at a time, seen through views of it.
-    moved = flat.copy()
-    parts = np.split(moved, np.cumsum([a.size for layer in params for a in layer])[:-1])
-    moved_params = [(pw.reshape(w.shape), pb) for (w, _), pw, pb in
-                    zip(params, parts[::2], parts[1::2])]
-    worst = 0.0
-    for c in coords:
-        up_dn = []
-        for value in (flat[c] + h, flat[c] - h):
-            moved[c] = value
-            vals, _ = loss.batch(_forward_cache(moved_params, x)[0], targets)
-            up_dn.append(float(np.add.reduce(vals) / len(vals)))
-        moved[c] = flat[c]
-        fd = (up_dn[0] - up_dn[1]) / (2 * h)
-        denom = max(abs(fd), abs(flat_grads[c]), 1.0)
-        worst = max(worst, abs(fd - flat_grads[c]) / denom)
-    return worst
+    # Copies 2j and 2j + 1 move coords[j] by +h and -h. The copies of one
+    # layer share the forward pass below it, then run as one stacked batch.
+    moved = np.repeat(coords, 2)
+    values = np.column_stack([flat[coords] + h, flat[coords] - h]).ravel()
+    acts, rows, dims = _forward_cache(params, x)[1], len(x), spec.layer_dims
+    # Labels for the largest chunk, encoded once; each chunk takes a prefix.
+    tiled = loss.targets(np.tile(y[keep], min(len(moved), max(1, _BLOCK // rows))))
+    means = np.empty(len(moved))
+    offset = 0
+    for i, (w, b) in enumerate(params):
+        end = offset + w.size + b.size
+        lo, hi = np.searchsorted(moved, (offset, end))
+        step = max(1, _BLOCK // max(w.size, rows * max(dims[i + 1:])))  # copies per chunk
+        for start in range(lo, hi, step):
+            chunk = slice(start, min(start + step, hi))
+            layer = np.repeat(flat[None, offset:end], chunk.stop - start, axis=0)
+            layer[np.arange(len(layer)), moved[chunk] - offset] = values[chunk]
+            z = acts[i] @ layer[:, :w.size].reshape(-1, *w.shape)
+            z += layer[:, None, w.size:]
+            if i < len(params) - 1:
+                z = _forward_cache(params[i + 1:], np.maximum(z, 0.0, out=z))[0]
+            if rows == 1:  # a one-row matmul rounds its own way; see train
+                vals = np.concatenate([loss.batch(zc, targets)[0] for zc in z])
+            else:
+                part = Targets(*(a[:len(z) * rows] for a in tiled))
+                vals = loss.batch(z.reshape(-1, z.shape[-1]), part)[0]
+            means[chunk] = np.add.reduce(vals.reshape(-1, rows), axis=1) / rows
+        offset = end
+    fd, g = (means[0::2] - means[1::2]) / (2 * h), flat_grads[coords]
+    return float((np.abs(fd - g) / np.maximum(np.maximum(np.abs(fd), np.abs(g)), 1.0)).max())

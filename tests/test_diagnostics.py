@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import math
 
@@ -10,6 +11,8 @@ from costbench.costs import (
     zero_one_matrix,
 )
 from costbench.diagnostics import (
+    RegretProfile,
+    _rewrite,
     boundary_slope,
     embedding_regret_profile,
     monte_carlo_bayes_csl,
@@ -90,6 +93,20 @@ def test_profile_csv_export(tmp_path):
     assert lines[0].startswith("loss,link,p0,p1,u0,u1")
     assert len(lines) == 1 + len(profile.surrogate_regret)
 
+
+
+def test_profile_csv_bytes_match_csv_writer(tmp_path):
+    # Special and extreme floats, written as csv.writer writes them.
+    odd = np.array([0.0, -0.0, 1e-300, 5e-324, 1e300, 0.1, -2.5, np.inf, -np.inf, np.nan])
+    profile = RegretProfile(np.column_stack([odd, odd[::-1]]), odd[:, None], odd[::-1], odd)
+    path = tmp_path / "profile.csv"
+    profile.export_csv(path)
+    with open(tmp_path / "want.csv", "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["loss", "link", "p0", "p1", "u0", "surrogate_regret", "target_regret"])
+        w.writerows(["embedding", "nearest-point", *row] for row in
+                    np.column_stack([odd, odd[::-1], odd, odd[::-1], odd]).tolist())
+    assert path.read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 # --- Monte-Carlo bound -----------------------------------------------------------
 
@@ -184,3 +201,19 @@ def test_render_scatter_svg(tmp_path, rng):
     assert text.startswith("<svg")
     assert text.count("<circle") == 50
     assert "fixture" in text
+
+
+
+@pytest.mark.parametrize("newline", ["", None])
+def test_rewrite_bytes_equal_a_truncating_write(newline, tmp_path):
+    # Longer over shorter, shorter over longer, and a new file, in \r\n
+    # (CSV) and \n (SVG) text.
+    line_end = "\r\n" if newline == "" else "\n"
+    texts = [line_end.join(["a,b"] * n) + line_end for n in (3, 40, 2, 2, 7)]
+    path, plain = tmp_path / "rewritten", tmp_path / "plain"
+    assert not path.exists()
+    for text in texts:
+        _rewrite(path, text, newline=newline)
+        with open(plain, "w", newline=newline) as fh:
+            fh.write(text)
+        assert path.read_bytes() == plain.read_bytes()

@@ -1,3 +1,5 @@
+import itertools
+import math
 import re
 
 import numpy as np
@@ -9,7 +11,8 @@ from costbench.costs import (
     stock_matrices,
     synthetic_cost_matrix,
 )
-from costbench.losses import LOSS_KINDS, BoundLoss
+from costbench import losses, models
+from costbench.losses import LOSS_KINDS, BoundLoss, cross_entropy_batch
 from costbench.models import (
     ModelSpec,
     TrainConfig,
@@ -23,6 +26,7 @@ from costbench.models import (
     mean_loss_and_param_grads,
     train,
 )
+from costbench.verify import run_verify
 
 ALPHA6 = binary_alpha_matrix(1 / 6)
 STUDENT = severity_three_class_matrix()
@@ -369,6 +373,108 @@ def test_gradient_check_values_pinned():
         )
         assert got == want, kind
 
+
+
+def reference_gradient_check(spec, loss, x, y, max_coords=400):
+    """The loop that moved one coordinate of one parameter copy at a time.
+
+    `gradient_check` stacks the moved copies instead and must return the
+    same bits, or raise the same error.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=int)
+    h, margin = 1e-5, 1e-3
+    params = init_model(spec)
+    scores, acts = _forward_cache(params, x)
+    keep = loss.kink_margin(scores) > margin
+    for act, (w, b) in zip(acts, params[:-1]):
+        keep &= np.abs(act @ w + b).min(axis=1) > margin
+    if not keep.any():
+        raise ValueError("every sample sits at a kink; enlarge the batch")
+    x, targets = x[keep], loss.targets(y[keep])
+    _, grads = mean_loss_and_param_grads(params, loss, x, targets)
+    flat_grads = np.concatenate([a.ravel() for layer in grads for a in layer])
+    flat = np.concatenate([a.ravel() for layer in params for a in layer])
+    coords = np.arange(len(flat))
+    if len(flat) > max_coords:
+        coords = np.linspace(0, len(flat) - 1, max_coords).astype(int)
+    moved = flat.copy()
+    parts = np.split(moved, np.cumsum([a.size for layer in params for a in layer])[:-1])
+    moved_params = [(pw.reshape(w.shape), pb) for (w, _), pw, pb in
+                    zip(params, parts[::2], parts[1::2])]
+    worst = 0.0
+    for c in coords:
+        up_dn = []
+        for value in (flat[c] + h, flat[c] - h):
+            moved[c] = value
+            vals, _ = loss.batch(_forward_cache(moved_params, x)[0], targets)
+            up_dn.append(float(np.add.reduce(vals) / len(vals)))
+        moved[c] = flat[c]
+        fd = (up_dn[0] - up_dn[1]) / (2 * h)
+        denom = max(abs(fd), abs(flat_grads[c]), 1.0)
+        worst = max(worst, abs(fd - flat_grads[c]) / denom)
+    return worst
+
+
+def _hex_or_error(check, *args):
+    try:
+        return check(*args).hex()
+    except ValueError as exc:
+        return str(exc)
+
+
+GRADIENT_HIDDEN = ((), (16, 16), (5,), (3, 4, 3))
+
+
+@pytest.mark.parametrize("name", sorted(stock_matrices()))
+def test_stacked_gradient_check_matches_reference_loop(name):
+    # 1, 2 and 3 rows leave batches the kink filter cuts to one kept row.
+    cost = stock_matrices()[name]
+    for kind in LOSS_KINDS:
+        try:
+            loss = BoundLoss(kind, cost)
+        except ValueError:
+            continue  # weighted_hinge takes only the 2x2 zero-diagonal matrices
+        for hidden, n, max_coords, seed in itertools.product(
+                GRADIENT_HIDDEN, (1, 2, 3, 37, 120), (60, 400), range(4)):
+            rng = np.random.default_rng(seed)
+            x, y = rng.normal(size=(n, 2)), rng.integers(0, cost.n_labels, n)
+            args = (ModelSpec(2, loss.out_dim, hidden, init_seed=seed), loss, x, y,
+                    max_coords)
+            assert (_hex_or_error(gradient_check, *args)
+                    == _hex_or_error(reference_gradient_check, *args)), \
+                (kind, hidden, n, max_coords, seed)
+
+
+def test_gradient_check_bits_do_not_depend_on_chunks(monkeypatch):
+    # One moved copy per stacked chunk gives the default's bits.
+    cases = []
+    for kind, hidden, n in itertools.product(LOSS_KINDS, GRADIENT_HIDDEN, (1, 37)):
+        rng = np.random.default_rng(n)
+        x, y = rng.normal(size=(n, 2)), rng.integers(0, 2, n)
+        loss = BoundLoss(kind, ALPHA6)
+        cases.append((ModelSpec(2, loss.out_dim, hidden, init_seed=2), loss, x, y, 60))
+    want = [_hex_or_error(gradient_check, *args) for args in cases]
+    monkeypatch.setattr(models, "_BLOCK", 1)
+    assert [_hex_or_error(gradient_check, *args) for args in cases] == want
+
+
+def test_nan_gradient_error_fails_the_check(monkeypatch):
+    # A kernel whose gradients are NaN: the error is NaN, not the finite
+    # maximum of the rest, and the suite's gradient line fails.
+    def nan_gradients(scores, targets):
+        vals, grads = cross_entropy_batch(scores, targets)
+        return vals, np.full_like(grads, np.nan)
+
+    monkeypatch.setattr(losses, "cross_entropy_batch", nan_gradients)
+    rng = np.random.default_rng(0)
+    x, y = rng.normal(size=(120, 2)), (rng.random(120) < 0.5).astype(int)
+    loss = BoundLoss("cross_entropy", ALPHA6)
+    for hidden in ((), (16, 16)):
+        spec = ModelSpec(2, loss.out_dim, hidden_dims=hidden, init_seed=1)
+        assert math.isnan(gradient_check(spec, loss, x, y, max_coords=60))
+    _, results = run_verify(fast=True)
+    line = next(r for r in results if r.name == "gradient-finite-difference")
+    assert not line.ok and line.detail == "max relative error nan"
 
 # --- fused epoch against the reference loop ------------------------------------------
 

@@ -132,3 +132,17 @@ def test_full_suite_lines_and_report_bytes_pinned(seed, tmp_path):
     for name in ("regret_profile.csv", "regret_scatter.svg"):
         h.update((tmp_path / name).read_bytes())
     assert h.hexdigest() == FULL_SUITE_SHA256[seed]
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+def test_full_suite_report_bytes_pinned_in_a_used_directory(order, tmp_path):
+    # The second suite rewrites the first one's report files in place; a
+    # stale tail of the longer file would change the digest.
+    for seed in order:
+        _, results = run_verify(fast=False, report_dir=tmp_path, rng_seed=seed)
+    h = hashlib.sha256()
+    for r in results:
+        h.update(f"{'PASS' if r.ok else 'FAIL'} {r.name} {r.detail}\n".encode())
+    for name in ("regret_profile.csv", "regret_scatter.svg"):
+        h.update((tmp_path / name).read_bytes())
+    assert h.hexdigest() == FULL_SUITE_SHA256[order[-1]]
