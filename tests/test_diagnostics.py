@@ -94,7 +94,6 @@ def test_profile_csv_export(tmp_path):
     assert len(lines) == 1 + len(profile.surrogate_regret)
 
 
-
 def test_profile_csv_bytes_match_csv_writer(tmp_path):
     # Special and extreme floats, written as csv.writer writes them.
     odd = np.array([0.0, -0.0, 1e-300, 5e-324, 1e300, 0.1, -2.5, np.inf, -np.inf, np.nan])
@@ -107,6 +106,7 @@ def test_profile_csv_bytes_match_csv_writer(tmp_path):
         w.writerows(["embedding", "nearest-point", *row] for row in
                     np.column_stack([odd, odd[::-1], odd, odd[::-1], odd]).tolist())
     assert path.read_bytes() == (tmp_path / "want.csv").read_bytes()
+
 
 # --- Monte-Carlo bound -----------------------------------------------------------
 
@@ -201,7 +201,6 @@ def test_render_scatter_svg(tmp_path, rng):
     assert text.startswith("<svg")
     assert text.count("<circle") == 50
     assert "fixture" in text
-
 
 
 @pytest.mark.parametrize("newline", ["", None])

@@ -558,7 +558,6 @@ def test_dist_to_optimal_set_bits_do_not_depend_on_blocks(monkeypatch, rng):
     assert np.array_equal(dist_to_optimal_set(s, U, (0, 1, 2)), want)
 
 
-
 @pytest.mark.parametrize("width", [1, 3, 8, 9, 16, 17, 62, 63, 70])
 def test_packed_grouping_matches_unique_rows(width, rng):
     # Widths past 8 pack into several bytes, and past 62 a row no longer
@@ -571,6 +570,7 @@ def test_packed_grouping_matches_unique_rows(width, rng):
         assert sorted(zip(map(bytes, got[0]), got[1].tolist(), got[2].tolist())) \
             == sorted(zip(map(bytes, want[0]), want[1].tolist(), want[2].tolist()))
         assert np.array_equal(got[0], keys[got[1]])
+
 
 def test_one_report_distance_is_bit_equal_to_quotient_norm(surrogates, rng):
     for s in surrogates.values():

@@ -5,13 +5,13 @@ import re
 import numpy as np
 import pytest
 
+from costbench import losses, models
 from costbench.costs import (
     binary_alpha_matrix,
     severity_three_class_matrix,
     stock_matrices,
     synthetic_cost_matrix,
 )
-from costbench import losses, models
 from costbench.losses import LOSS_KINDS, BoundLoss, cross_entropy_batch
 from costbench.models import (
     ModelSpec,
@@ -374,7 +374,6 @@ def test_gradient_check_values_pinned():
         assert got == want, kind
 
 
-
 def reference_gradient_check(spec, loss, x, y, max_coords=400):
     """The loop that moved one coordinate of one parameter copy at a time.
 
@@ -475,6 +474,7 @@ def test_nan_gradient_error_fails_the_check(monkeypatch):
     _, results = run_verify(fast=True)
     line = next(r for r in results if r.name == "gradient-finite-difference")
     assert not line.ok and line.detail == "max relative error nan"
+
 
 # --- fused epoch against the reference loop ------------------------------------------
 
