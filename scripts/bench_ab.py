@@ -45,6 +45,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# Set-up time and allocation depend on these too: without a bytecode cache
+# every run compiles the package as it imports it, and glibc's malloc
+# settings decide how often fresh temporaries take page faults.
+RUNTIME_VARIABLES = ("PYTHONDONTWRITEBYTECODE", "GLIBC_TUNABLES", "MALLOC_ARENA_MAX",
+                     "MALLOC_MMAP_THRESHOLD_", "MALLOC_TOP_PAD_", "MALLOC_TRIM_THRESHOLD_")
 PAIRS = 10  # the fewest pairs a nine-in-ten win can be read from
 
 
@@ -139,6 +144,8 @@ def environment() -> dict:
         "cpu": cpu,
         "nproc": os.cpu_count(),
         "threads": {v: os.environ.get(v) for v in THREAD_VARIABLES},
+        "runtime": {v: os.environ.get(v) for v in sorted(
+            {*RUNTIME_VARIABLES, *(v for v in os.environ if v.startswith("MALLOC_"))})},
         "export_fs": filesystem_type(Path(tempfile.gettempdir())),
     }
 

@@ -93,15 +93,11 @@ def posterior_pos_many(x: np.ndarray) -> np.ndarray:
     """P[label=+1 | x] for rows of x: the ratio of the two Gaussian densities
     reduces to logistic(2 * x1 / x2). Requires x2 > 0."""
     x = np.asarray(x, dtype=float)
-    if np.any(x[:, 1] <= 0):
+    if not np.all(x[:, 1] > 0):  # a NaN x2 fails too
         raise ValueError("posterior requires x2 > 0")
     z = 2.0 * x[:, 0] / x[:, 1]
-    out = np.empty(len(x))
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    ez = np.exp(np.where(z >= 0, -z, z))  # exp(-|z|): no overflow, NaN kept
+    return np.where(z >= 0, 1.0, ez) / (1.0 + ez)
 
 
 def bayes_decision_many(x: np.ndarray, alpha: float) -> np.ndarray:
@@ -113,7 +109,7 @@ def bayes_decision_many(x: np.ndarray, alpha: float) -> np.ndarray:
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie strictly between 0 and 1")
     x = np.asarray(x, dtype=float)
-    if np.any(x[:, 1] <= 0):
+    if not np.all(x[:, 1] > 0):  # a NaN x2 fails too
         raise ValueError("bayes decision requires x2 > 0")
     thresh = 0.5 * x[:, 1] * np.log(alpha / (1.0 - alpha))
     return np.where(x[:, 0] >= thresh, 1, -1)

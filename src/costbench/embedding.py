@@ -266,15 +266,16 @@ def link_many(s: EmbeddingSurrogate, U: np.ndarray) -> np.ndarray:
     set keeps far-field faces of the optimal region linked correctly.
     """
     _, wit = game_values(s, U)
-    out = np.empty(len(U), dtype=int)
-    for v in np.unique(wit):
-        members = np.flatnonzero(wit == v)
-        cands = s.vertex_reports[v]
-        if len(cands) == 1:
-            out[members] = cands[0]
-            continue
-        diff = U[members][:, None, :] - s.phi[list(cands)][None, :, :]
-        out[members] = np.asarray(cands)[np.argmin(_quotient_norm(diff), axis=1)]
+    # One row of candidates per vertex, padded with its last report: a row
+    # holds one report iff it starts and ends alike, and argmin never picks
+    # a pad over the first copy.
+    width = max(map(len, s.vertex_reports))
+    table = np.array([c + c[-1:] * (width - len(c)) for c in s.vertex_reports])
+    out = table[:, 0].take(wit)
+    rows = np.flatnonzero((table[:, 0] != table[:, -1]).take(wit))
+    cands = table.take(wit.take(rows), axis=0)                    # (rows, width)
+    dist = _quotient_norm(U.take(rows, axis=0)[:, None, :] - s.phi.take(cands, axis=0))
+    out[rows] = cands[np.arange(len(rows)), np.argmin(dist, axis=1)]
     return out
 
 
@@ -372,8 +373,10 @@ def dist_to_optimal_set(
     depends on the reports only, so it is inverted once and every row's lam
     comes from one product. Each lam is clipped to the simplex, so every
     candidate is feasible and the row-wise minimum is exact. One report gives
-    lam = 1, the bits of _quotient_norm.
+    lam = 1, so its distance is _quotient_norm(u - phi(r)) itself.
     """
+    if len(reports) == 1:
+        return _quotient_norm(U - s.phi[reports[0]])
     d = s.phi[list(reports)] - s.phi[reports[0]]      # (m, k)
     w = (U - s.phi[reports[0]]).T                     # (k, n)
     (m, k), n = d.shape, len(U)

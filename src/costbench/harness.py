@@ -22,7 +22,7 @@ import numpy as np
 
 from . import data as data_mod
 from .costs import CostMatrix, confusion, cost_sensitive_loss, synthetic_cost_matrix
-from .diagnostics import boundary_slope
+from .diagnostics import _rewrite, boundary_slope
 from .losses import LOSS_KINDS, BoundLoss, check_loss, postprocess_search
 from .models import ModelSpec, TrainConfig, TrainingDiverged, evaluate, forward, train
 from .seeding import mix_seed
@@ -161,11 +161,12 @@ def _fmt(value) -> str:
 def write_rows_csv(rows: list[ResultRow], path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(ROW_FIELDS)
-        for r in rows:
-            w.writerow([_fmt(getattr(r, f)) for f in ROW_FIELDS])
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(ROW_FIELDS)
+    for r in rows:
+        w.writerow([_fmt(getattr(r, f)) for f in ROW_FIELDS])
+    _rewrite(path, buf.getvalue(), newline="")
 
 
 def _float_or_nan(text: str) -> float:
@@ -458,7 +459,7 @@ def emit_table(cells: list[AggregateCell], fmt: str, path=None) -> str:
     if path is not None:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+        _rewrite(path, text)
     return text
 
 

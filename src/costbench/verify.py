@@ -62,9 +62,10 @@ def run_verify(
             raise ValueError(f"extra matrix {name!r} has the name of a stock matrix")
         matrices[name] = cost
     results: list[CheckResult] = []
+    surrogates = {}
 
     for name, cost in matrices.items():
-        s = build_embedding_surrogate(cost)
+        s = surrogates[name] = build_embedding_surrogate(cost)
 
         def check_embed(s=s):
             rep = verify_embedding(s, grid_res)
@@ -125,8 +126,8 @@ def run_verify(
     if report_dir is not None and not fast:
         report_dir = Path(report_dir)
         report_dir.mkdir(parents=True, exist_ok=True)
-        s = build_embedding_surrogate(stock_matrices()["german_credit"])
-        profile = embedding_regret_profile(s, p_grid_res=0.05, n_u=100, seed=rng_seed)
+        profile = embedding_regret_profile(
+            surrogates["german_credit"], p_grid_res=0.05, n_u=100, seed=rng_seed)
         profile.export_csv(report_dir / "regret_profile.csv")
         render_scatter_svg(
             profile.target_regret,

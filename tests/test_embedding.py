@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import sys
 
 import numpy as np
@@ -323,6 +324,68 @@ def test_link_shift_invariant(surrogates, rng):
     for s in surrogates.values():
         U = rng.normal(size=(50, s.n_labels))
         assert np.array_equal(link_many(s, U), link_many(s, U + 3.0))
+
+
+# Every stock matrix, four labels, and a report that duplicates another's row.
+PROPERTY_MATRICES = {
+    **stock_matrices(),
+    "zero_one_4": zero_one_matrix(4),
+    "duplicate_row": CostMatrix([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0],
+                                 [0.0, 1.0, 1.0]]),
+}
+
+
+def _link_many_loop(s, U):
+    """The link as a loop over the witness vertices that occur, one
+    nearest-point search per vertex: the reference for link_many."""
+    _, wit = game_values(s, U)
+    out = np.empty(len(U), dtype=int)
+    for v in np.unique(wit):
+        members = np.flatnonzero(wit == v)
+        cands = s.vertex_reports[v]
+        if len(cands) == 1:
+            out[members] = cands[0]
+            continue
+        diff = U[members][:, None, :] - s.phi[list(cands)][None, :, :]
+        out[members] = np.asarray(cands)[np.argmin(_quotient_norm(diff), axis=1)]
+    return out
+
+
+def _property_inputs(s, rng):
+    """Named prediction batches: sampled, the embedded points, points on ties
+    and no rows at all."""
+    k, phi = s.n_labels, s.phi
+    # Centroids of two or more embedded points sit on ties between reports;
+    # a dyadic lattice holds exact ties of vertex scores and of distances.
+    centroids = np.array([phi[list(c)].mean(axis=0)
+                          for n in range(2, len(phi) + 1)
+                          for c in itertools.combinations(range(len(phi)), n)])
+    step = 0.25 if k <= 3 else 0.5
+    lattice = np.array(list(itertools.product(np.arange(-2.0, 2.0 + step, step), repeat=k)))
+    # Projections onto the plane where two game vertices score alike.
+    kinks = []
+    for a, b in itertools.combinations(range(len(s.verts_p)), 2):
+        normal = s.verts_p[a] - s.verts_p[b]
+        u = rng.normal(size=(20, k)) * 2
+        offset = (u @ normal + s.verts_t[a] - s.verts_t[b]) / (normal @ normal)
+        kinks.append(u - offset[:, None] * normal)
+    return {
+        "sampled": sample_predictions(s, 5000, rng),
+        "normal": rng.normal(size=(2000, k)) * 3,
+        "embedded": np.array(phi),
+        "ties": np.vstack([centroids, centroids + 1e-12, lattice]),
+        "kinks": np.vstack(kinks),
+        "empty": np.empty((0, k)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(PROPERTY_MATRICES))
+def test_link_matches_vertex_loop_bit_for_bit(name, rng):
+    s = build_embedding_surrogate(PROPERTY_MATRICES[name])
+    for kind, U in _property_inputs(s, rng).items():
+        got, want = link_many(s, U), _link_many_loop(s, U)
+        assert got.dtype == want.dtype and got.shape == want.shape, kind
+        assert np.array_equal(got, want), kind
 
 
 # --- weighted hinge ---------------------------------------------------------
