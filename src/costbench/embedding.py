@@ -266,9 +266,8 @@ def link_many(s: EmbeddingSurrogate, U: np.ndarray) -> np.ndarray:
     set keeps far-field faces of the optimal region linked correctly.
     """
     _, wit = game_values(s, U)
-    # One row of candidates per vertex, padded with its last report: a row
-    # holds one report iff it starts and ends alike, and argmin never picks
-    # a pad over the first copy.
+    # Each vertex's candidates padded with its last one: a row holds one report
+    # iff it starts and ends alike, and argmin never picks a pad over the first.
     width = max(map(len, s.vertex_reports))
     table = np.array([c + c[-1:] * (width - len(c)) for c in s.vertex_reports])
     out = table[:, 0].take(wit)

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -301,3 +302,26 @@ def test_bench_ab_names_the_filesystem_of_a_path(tmp_path):
     # /proc/self is below the proc mount, which is deeper than the root's.
     assert script.filesystem_type(Path("/proc/self")) == "proc"
     assert script.filesystem_type(tmp_path) not in ("unknown", "proc")
+
+
+@pytest.mark.skipif(not Path("/proc/cpuinfo").exists(), reason="needs /proc/cpuinfo")
+def test_bench_ab_records_bytecode_and_malloc_variables(monkeypatch):
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("bench_ab", BENCH_AB)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.setenv("MALLOC_TOP_PAD_", "67108864")
+    monkeypatch.setenv("MALLOC_PERTURB_", "7")  # not named by the script
+    monkeypatch.delenv("MALLOC_TRIM_THRESHOLD_", raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    env = script.environment()
+    assert env["threads"]["OPENBLAS_NUM_THREADS"] == "1"
+    runtime = env["runtime"]
+    assert runtime["PYTHONDONTWRITEBYTECODE"] == "1"
+    assert runtime["MALLOC_TOP_PAD_"] == "67108864"
+    assert runtime["MALLOC_PERTURB_"] == "7"
+    assert runtime["MALLOC_TRIM_THRESHOLD_"] is None  # unset is recorded as such
+    assert {"MALLOC_MMAP_THRESHOLD_", "GLIBC_TUNABLES"} <= set(runtime)
+    json.dumps(env)

@@ -94,6 +94,43 @@ def test_posterior_requires_positive_scale():
         posterior_pos_many(np.array([[0.0, -1.0]]))
 
 
+def _posterior_masked(x):
+    """The posterior by boolean masks, one formula per sign of z: the
+    reference for the mask-free posterior_pos_many."""
+    x = np.asarray(x, dtype=float)
+    z = 2.0 * x[:, 0] / x[:, 1]
+    out = np.empty(len(x))
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_posterior_matches_masked_formulas_bit_for_bit():
+    draws = sample_synthetic(1_000_000, rng_seed=11).features
+    x2 = 0.5
+    z = np.array([0.0, -0.0, 1.6e6, -1.6e6, 1.6e6 + 0.5, -1.6e6 - 0.5, 36.0, -36.0,
+                  709.0, -709.0, 745.0, -745.0, 746.0, -746.0, np.inf, -np.inf,
+                  5e-324, -5e-324])
+    edges = np.column_stack([z * x2 / 2.0, np.full(len(z), x2)])
+    nan_x1 = np.array([[np.nan, 0.3], [-np.nan, 1.0]])
+    for x in (draws, edges, nan_x1, np.empty((0, 2))):
+        got, want = posterior_pos_many(x), _posterior_masked(x)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert np.isnan(posterior_pos_many(nan_x1)).all()
+    assert posterior_pos_many(edges[:2]).tolist() == [0.5, 0.5]
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.nan, 0.0, -1.0])
+def test_nan_or_nonpositive_scale_is_rejected(bad):
+    x = np.array([[0.3, 1.0], [0.3, bad]])
+    with pytest.raises(ValueError, match="x2 > 0"):
+        posterior_pos_many(x)
+    with pytest.raises(ValueError, match="x2 > 0"):
+        bayes_decision_many(x, 0.25)
+
+
 # --- cost-optimal decisions ------------------------------------------------------
 
 

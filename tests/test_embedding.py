@@ -643,6 +643,50 @@ def test_one_report_distance_is_bit_equal_to_quotient_norm(surrogates, rng):
                                   _quotient_norm(U - s.phi[r]))
 
 
+def _dist_to_optimal_set_bases(s, U, reports):
+    """dist_to_optimal_set by basis enumeration for every set size, one
+    report included: the reference for the one-report closed form."""
+    d = s.phi[list(reports)] - s.phi[reports[0]]
+    w = (U - s.phi[reports[0]]).T
+    (m, k), n = d.shape, len(U)
+    d2, w2 = np.hstack([d, d]), np.vstack([w, w])
+    best = np.full(n, np.inf)
+    for size in range(1, min(m, k) + 1):
+        q = np.array(list(itertools.combinations(range(2 * k), size + 1)))
+        labels = np.sort(q % k, axis=1)
+        inside = (q[:, 0] == 0) & (q[:, -1] == k)
+        keep = (q[:, 0] < k) & (q[:, -1] >= k) & (
+            (labels[:, 1:] != labels[:, :-1]).all(axis=1) | inside)
+        tights = q[keep][: 1 if size == 1 else None]
+        bases = itertools.product(itertools.combinations(range(m), size), tights)
+        step = max(1, embedding._BLOCK // max(k * n, (size + 2) ** 2))
+        while chunk := list(itertools.islice(bases, step)):
+            supp, tight = map(np.array, zip(*chunk))
+            a = np.zeros((len(chunk), size + 2, size + 2))
+            a[:, 0, :size] = 1.0
+            a[:, 1:, :size] = d2[supp[:, None, :], tight[:, :, None]]
+            a[:, 1:, size] = tight < k
+            a[:, 1:, size + 1] = tight >= k
+            ok = np.linalg.cond(a, 1) < 1e12
+            inv = np.linalg.inv(a[ok])[:, :size]
+            lam = np.maximum(inv[:, :, :1] + inv[:, :, 1:] @ w2[tight[ok]], 0.0)
+            lam /= lam.sum(axis=1, keepdims=True)
+            v = w - d[supp[ok]].transpose(0, 2, 1) @ lam
+            dist = _quotient_norm(v.transpose(0, 2, 1))
+            best = np.minimum(best, dist.min(axis=0, initial=np.inf))
+    return best
+
+
+@pytest.mark.parametrize("name", sorted(PROPERTY_MATRICES))
+def test_one_report_distance_matches_basis_enumeration(name, rng):
+    s = build_embedding_surrogate(PROPERTY_MATRICES[name])
+    for kind, U in _property_inputs(s, rng).items():
+        for r in s.representative_set:
+            got = dist_to_optimal_set(s, U, (r,))
+            want = _dist_to_optimal_set_bases(s, U, (r,))
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (kind, r)
+
+
 def test_triple_hull_path_on_four_reports(rng):
     # Four 0-1 reports, a grid point where three of them tie: the distance to
     # an optimal set of three reports, on the same path as every other size.

@@ -1,3 +1,7 @@
+import builtins
+import csv
+import io
+import os
 import re
 
 import numpy as np
@@ -6,6 +10,7 @@ import pytest
 from costbench.harness import (
     ConfigError,
     ExperimentConfig,
+    ROW_FIELDS,
     ResultRow,
     aggregate,
     apply_preset,
@@ -375,6 +380,60 @@ def test_rows_csv_round_trip(tmp_path):
     assert back[0].csl == 0.25 and back[0].accuracy == 0.75
     assert back[1].accuracy is None
     assert back[0].loss == "ce" and back[1].seed == 1
+
+
+def _spy_truncating_opens(monkeypatch):
+    """Record every open that truncates the file it opens."""
+    seen = []
+    real_open, real_os_open = builtins.open, os.open
+
+    def spy_open(file, mode="r", *args, **kwargs):
+        if not isinstance(file, int) and "w" in mode:
+            seen.append((str(file), mode))
+        return real_open(file, mode, *args, **kwargs)
+
+    def spy_os_open(path, flags, *args, **kwargs):
+        if flags & os.O_TRUNC:
+            seen.append((str(path), flags))
+        return real_os_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", spy_open)
+    monkeypatch.setattr(io, "open", spy_open)  # what Path.write_text calls
+    monkeypatch.setattr(os, "open", spy_os_open)
+    return seen
+
+
+@pytest.mark.parametrize("what", ["rows", "csv", "markdown"])
+def test_writers_rewrite_a_longer_file_without_a_truncating_open(what, tmp_path, monkeypatch):
+    rows = [make_row("ce", 0, 0.25, 0.75), make_row("emb", 1, 0.5), make_row("ce", 1, 1e-17)]
+    if what == "rows":
+        def write(path):
+            write_rows_csv(rows, path)
+        # What a truncating csv.writer wrote: \r\n line ends.
+        with open(tmp_path / "want", "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(ROW_FIELDS)
+            for r in rows:
+                w.writerow(["" if v is None else repr(v) if isinstance(v, float) else v
+                            for v in (getattr(r, f) for f in ROW_FIELDS)])
+        want = (tmp_path / "want").read_bytes()
+        assert b"\r\n" in want
+    else:
+        text = emit_table(aggregate(rows), what)
+
+        def write(path):
+            emit_table(aggregate(rows), what, path)
+        want = text.encode()
+    fresh, path = tmp_path / "fresh", tmp_path / "sub" / "existing"
+    write(fresh)
+    assert fresh.read_bytes() == want
+    path.parent.mkdir()
+    path.write_bytes(b"x" * (10 * len(want)) + b"\n")
+    seen = _spy_truncating_opens(monkeypatch)
+    write(path)
+    monkeypatch.undo()
+    assert seen == []
+    assert path.read_bytes() == want
 
 
 # --- experiment runs ----------------------------------------------------------------
