@@ -13,7 +13,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from costbench.cli import report, suffixed, worker_count
+from costbench.cli import report, worker_count
 from costbench.data import UCI_SPECS
 from costbench.harness import (
     ABLATION_PRESETS,
@@ -27,7 +27,7 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _plan(preset, workers):
-    """(config, rows path, table path) of each config whose data is present."""
+    """The config of each benchmark whose data is present, under the preset."""
     plans = []
     for cfg_path in sorted(CONFIG_DIR.glob("*.cfg")):
         cfg = parse_config(cfg_path)
@@ -36,15 +36,12 @@ def _plan(preset, workers):
             if not raw.exists():
                 print(f"SKIP {cfg.dataset}: {raw} missing (fetch_uci.py)")
                 continue
-        rows_csv, table_path = cfg.rows_csv, cfg.table_path
         if preset:
             try:
                 cfg = apply_preset(cfg, preset)
             except ConfigError as exc:
                 raise ConfigError(f"{cfg_path}: {exc}") from exc
-            rows_csv = suffixed(rows_csv, preset)
-            table_path = suffixed(table_path, preset)
-        plans.append((replace(cfg, workers=workers), rows_csv, table_path))
+        plans.append(replace(cfg, workers=workers))
     return plans
 
 
@@ -60,9 +57,9 @@ def main() -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     status = 0
-    for cfg, rows_csv, table_path in plans:
+    for cfg in plans:
         print(f"RUN {cfg.dataset}: {cfg.n_seeds} seeds x {len(cfg.losses)} losses")
-        status |= report(run_experiment(cfg), cfg.table_format, rows_csv, table_path)
+        status |= report(run_experiment(cfg), cfg)
     return status
 
 

@@ -6,14 +6,14 @@ Subcommands:
   verify [--fast]              run the numerical verification suite
   table <rows.csv> --format    re-aggregate a rows file into a table
 
-Exit codes: 0 success, 1 violations or failed cells, 2 configuration errors.
+Exit codes: 0 success, 1 violations or failed cells, 2 configuration and other
+errors (a missing file, a bad value, running out of memory).
 """
 from __future__ import annotations
 
 import argparse
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 from .harness import (
     ABLATION_PRESETS,
@@ -28,17 +28,18 @@ from .harness import (
 )
 
 
-def report(rows, table_format: str, rows_path, table_path) -> int:
-    """Write the rows and the table, name every failed cell; 1 if any failed."""
-    write_rows_csv(rows, rows_path)
-    print(emit_table(aggregate(rows), table_format, table_path))
+def report(rows, cfg) -> int:
+    """Write the rows and the markdown table where cfg names them, name every
+    failed cell; 1 if any failed."""
+    write_rows_csv(rows, cfg.rows_csv)
+    print(emit_table(aggregate(rows), "markdown", cfg.table_path))
     failed = [r for r in rows if r.failed]
     for r in failed:
         print(f"cell failed: {r.dataset}/{r.loss}/seed {r.seed}: {r.failed}",
               file=sys.stderr)
     if failed:
         return 1
-    print(f"wrote {rows_path} and {table_path}")
+    print(f"wrote {cfg.rows_csv} and {cfg.table_path}")
     return 0
 
 
@@ -46,13 +47,7 @@ def _cmd_run(args) -> int:
     cfg = parse_config(args.config)
     if args.workers is not None:
         cfg = replace(cfg, workers=args.workers)
-    return report(run_experiment(cfg), cfg.table_format, cfg.rows_csv, cfg.table_path)
-
-
-def suffixed(name, preset: str) -> Path:
-    """Where a preset run writes an output the config names: <stem>_<preset><suffix>."""
-    path = Path(name)
-    return path.with_name(f"{path.stem}_{preset}{path.suffix}")
+    return report(run_experiment(cfg), cfg)
 
 
 def _cmd_ablate(args) -> int:
@@ -61,9 +56,7 @@ def _cmd_ablate(args) -> int:
         cfg = apply_preset(cfg, args.preset)
     except ConfigError as exc:  # a setting the preset turns on, e.g. mlp hidden_dims
         raise ConfigError(f"{args.config}: {exc}") from exc
-    return report(run_experiment(cfg), cfg.table_format,
-                   suffixed(cfg.rows_csv, args.preset),
-                   suffixed(cfg.table_path, args.preset))
+    return report(run_experiment(cfg), cfg)
 
 
 def _cmd_verify(args) -> int:
@@ -139,6 +132,10 @@ def main(argv=None) -> int:
         return 2
     except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # not a failed check: the host could not run it
+        print(f"error: out of memory ({exc})" if str(exc) else "error: out of memory",
+              file=sys.stderr)
         return 2
 
 

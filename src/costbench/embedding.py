@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .costs import TIE_EPS, CostMatrix, Targets, label_targets, reduce_last, simplex_grid
+from .costs import TIE_EPS, CostMatrix, Targets, _readonly, label_targets, reduce_last, simplex_grid
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,21 +205,15 @@ def build_embedding_surrogate(
         vertex_reports.append(tuple(sorted({report_class[r] for r in optimal})))
     return EmbeddingSurrogate(
         cost=cost,
-        phi=_freeze(phi),
+        phi=_readonly(phi),
         representative_set=tuple(reps),
         alpha_sep=float(alpha_sep),
-        verts_p=_freeze(verts_p),
-        verts_t=_freeze(verts_t),
+        verts_p=_readonly(verts_p),
+        verts_t=_readonly(verts_t),
         report_class=tuple(report_class),
         vertex_reports=tuple(vertex_reports),
-        rep_phi=_freeze(rep_phi),
+        rep_phi=_readonly(rep_phi),
     )
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    a.setflags(write=False)
-    return a
 
 
 def game_values(s: EmbeddingSurrogate, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

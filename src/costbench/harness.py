@@ -23,14 +23,11 @@ import numpy as np
 from . import data as data_mod
 from .costs import CostMatrix, confusion, cost_sensitive_loss, synthetic_cost_matrix
 from .diagnostics import _rewrite, boundary_slope
-from .losses import LOSS_KINDS, BoundLoss, check_loss, postprocess_search
+from .losses import BoundLoss, check_loss, postprocess_search
 from .models import ModelSpec, TrainConfig, TrainingDiverged, evaluate, forward, train
 from .seeding import mix_seed
 
 DATASET_NAMES = ("synthetic", *data_mod.UCI_SPECS)
-
-# cross_entropy_post: cross-entropy decided by postprocess_search's weighted argmax.
-LOSS_LABELS = LOSS_KINDS + ("cross_entropy_post",)
 
 
 class ConfigError(ValueError):
@@ -59,11 +56,9 @@ class ExperimentConfig:
     selection: str = "val_loss"         # or "val_csl"
     n_seeds: int = 20
     master_seed: int = 0
-    postprocess_candidates: int = 100
     workers: int = 1
     rows_csv: str = "results/rows.csv"
     table_path: str = "results/table.md"
-    table_format: str = "markdown"
 
     def __post_init__(self):
         if self.dataset not in DATASET_NAMES:
@@ -83,10 +78,6 @@ class ExperimentConfig:
                               f"empty under fractions {data_mod.SPLIT_FRACTIONS}: {sizes}")
         if not self.losses:
             raise ConfigError("[experiment] losses must name at least one loss")
-        for label in self.losses:
-            if label not in LOSS_LABELS:
-                raise ConfigError(f"[experiment] losses: {label!r} is not one of "
-                                  f"{LOSS_LABELS}")
         if len(set(self.losses)) != len(self.losses):
             raise ConfigError(f"[experiment] losses name a loss more than once: {self.losses}")
         if self.model_kind not in ("linear", "mlp"):
@@ -101,9 +92,6 @@ class ExperimentConfig:
             TrainConfig(self.effective_learning_rate, self.n_epochs)
         except ValueError as exc:
             raise ConfigError(f"[train] {exc}") from exc
-        if self.postprocess_candidates < 1:
-            raise ConfigError("[postprocess] n_candidates must be >= 1, "
-                              f"got {self.postprocess_candidates!r}")
         # Reject a loss the dataset's matrix cannot take before any cell trains.
         try:
             cost = _dataset_cost_matrix(self.dataset, self.alpha)
@@ -111,7 +99,7 @@ class ExperimentConfig:
             raise ConfigError(f"[experiment] alpha {self.alpha!r}: {exc}") from exc
         for label in self.losses:
             try:
-                check_loss(_loss_kind(label, cost), cost)
+                check_loss(label, cost)
             except ValueError as exc:
                 raise ConfigError(
                     f"[experiment] losses: {label} cannot train on the {self.dataset} "
@@ -238,10 +226,8 @@ _CONFIG_KEYS = {
     ("train", "learning_rate"): ("learning_rate", float),
     ("train", "n_epochs"): ("n_epochs", int),
     ("train", "selection"): ("selection", str.strip),
-    ("postprocess", "n_candidates"): ("postprocess_candidates", int),
     ("output", "rows_csv"): ("rows_csv", str.strip),
     ("output", "table"): ("table_path", str.strip),
-    ("output", "format"): ("table_format", str.strip),
 }
 _CONFIG_SECTIONS = {section for section, _ in _CONFIG_KEYS}
 
@@ -298,18 +284,8 @@ def load_dataset(cfg: ExperimentConfig, split_seed: int):
     return ds, cost, splits
 
 
-def _loss_kind(label: str, cost: CostMatrix) -> str:
-    """The loss kind a loss label trains; cross_entropy_post trains cross_entropy."""
-    if label != "cross_entropy_post":
-        return label
-    if not cost.is_square:
-        raise ValueError("cross_entropy_post is undefined when reports != labels "
-                         "(weighted argmax has no deferral score)")
-    return "cross_entropy"
-
-
 def make_loss(label: str, cost: CostMatrix) -> BoundLoss:
-    return BoundLoss(_loss_kind(label, cost), cost)
+    return BoundLoss(label, cost)
 
 
 def run_cell(cfg: ExperimentConfig, label: str, seed_index: int) -> ResultRow:
@@ -341,7 +317,6 @@ def run_cell(cfg: ExperimentConfig, label: str, seed_index: int) -> ResultRow:
                 forward(model.params, va[0]),
                 va[1],
                 cost,
-                n_candidates=cfg.postprocess_candidates,
                 rng_seed=mix_seed(cell_seed, "post"),
             )
         result = evaluate(model, te, cost, weights)
@@ -507,11 +482,21 @@ FULL_DATA_SYNTHETIC = 10000  # UCI datasets use every row of the raw file
 ABLATION_PRESETS = ("full_data", "mlp")
 
 
+def _suffixed(name: str, preset: str) -> str:
+    path = Path(name)
+    return str(path.with_name(f"{path.stem}_{preset}{path.suffix}"))
+
+
 def apply_preset(cfg: ExperimentConfig, preset: str) -> ExperimentConfig:
+    """The config under a preset; it writes <stem>_<preset><suffix> beside the
+    outputs the config names."""
     if preset == "full_data":
-        if cfg.dataset == "synthetic":
-            return replace(cfg, n_samples=FULL_DATA_SYNTHETIC)
-        return replace(cfg, n_samples=data_mod.UCI_SPECS[cfg.dataset].expected_rows)
-    if preset == "mlp":
-        return replace(cfg, model_kind="mlp", learning_rate=None)
-    raise ConfigError(f"unknown preset {preset!r}; one of {ABLATION_PRESETS}")
+        n = (FULL_DATA_SYNTHETIC if cfg.dataset == "synthetic"
+             else data_mod.UCI_SPECS[cfg.dataset].expected_rows)
+        changes = {"n_samples": n}
+    elif preset == "mlp":
+        changes = {"model_kind": "mlp", "learning_rate": None}
+    else:
+        raise ConfigError(f"unknown preset {preset!r}; one of {ABLATION_PRESETS}")
+    return replace(cfg, **changes, rows_csv=_suffixed(cfg.rows_csv, preset),
+                   table_path=_suffixed(cfg.table_path, preset))

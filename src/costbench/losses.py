@@ -28,6 +28,8 @@ LOSS_KINDS = (
     "embedding_softmax",
     "weighted_hinge",
 )
+# cross_entropy_post: cross-entropy decided by postprocess_search's weighted argmax.
+LOSS_LABELS = LOSS_KINDS + ("cross_entropy_post",)
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
@@ -156,30 +158,36 @@ def _vertex_gap(s: EmbeddingSurrogate, U: np.ndarray) -> np.ndarray:
     return part[:, -1] - part[:, -2]
 
 
-def check_loss(kind: str, cost: CostMatrix) -> None:
-    """Raise ValueError unless a loss of this kind can train on this matrix."""
-    if kind not in LOSS_KINDS:
-        raise ValueError(f"unknown loss kind {kind!r}; one of {LOSS_KINDS}")
-    if kind == "weighted_hinge":
+def check_loss(label: str, cost: CostMatrix) -> str:
+    """The loss kind a loss label trains; ValueError unless it can train on this matrix."""
+    if label not in LOSS_LABELS:
+        raise ValueError(f"unknown loss {label!r}; one of {LOSS_LABELS}")
+    if label == "cross_entropy_post":
+        if not cost.is_square:
+            raise ValueError("cross_entropy_post is undefined when reports != labels "
+                             "(weighted argmax has no deferral score)")
+        return "cross_entropy"
+    if label == "weighted_hinge":
         c = cost.entries
         if c.shape != (2, 2) or c[0, 0] != 0 or c[1, 1] != 0:
             raise ValueError("weighted_hinge needs a zero-diagonal 2x2 matrix")
         if c[1, 0] <= 0 or c[0, 1] <= 0:
             raise ValueError("weighted_hinge needs positive off-diagonal costs")
+    return label
 
 
 class BoundLoss:
-    """A loss kind bound to its cost matrix: batched values/grads and decisions.
+    """A loss label bound to its cost matrix: batched values/grads and decisions.
 
-    The constructor is the one place that dispatches on the loss kind. It
-    resolves, once per loss, the batch function, the model output width, the
-    decision (argmax, sign or the embedding link), the map from scores to the
-    decision's input space and the kink margin used by gradient checks.
+    kind is the loss kind the label trains (check_loss). The constructor is the
+    one place that dispatches on the loss kind. It resolves, once per loss, the
+    batch function, the model output width, the decision (argmax, sign or the
+    embedding link), the map from scores to the decision's input space and the
+    kink margin used by gradient checks.
     """
 
-    def __init__(self, kind: str, cost: CostMatrix):
-        check_loss(kind, cost)
-        self.kind = kind
+    def __init__(self, label: str, cost: CostMatrix):
+        self.kind = check_loss(label, cost)
         self.n_labels = cost.n_labels
         self.surrogate: EmbeddingSurrogate | None = None
         self.out_dim = cost.n_labels

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from costbench import harness
-from costbench.losses import LOSS_KINDS, BoundLoss
+from costbench.losses import LOSS_KINDS, LOSS_LABELS, BoundLoss
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
@@ -49,7 +49,7 @@ def test_traced_run_records_a_batch_span_per_loss_kind(tracer):
 def test_traced_run_records_a_decide_span_per_cell(tracer):
     # cross_entropy_post decides by postprocess_search's weights, through the
     # same traced BoundLoss.decide_batch as every other loss.
-    cfg = harness.ExperimentConfig(n_samples=60, losses=harness.LOSS_LABELS, n_epochs=2,
+    cfg = harness.ExperimentConfig(n_samples=60, losses=LOSS_LABELS, n_epochs=2,
                                    n_seeds=2, workers=1)
     with tracer.Tracer().installed() as t:
         rows = harness.run_experiment(cfg)

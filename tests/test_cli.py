@@ -175,6 +175,21 @@ def test_verify_rejects_matrix_named_like_stock(tmp_path):
     assert res.stdout == ""
 
 
+@pytest.mark.parametrize("exc", [MemoryError(), MemoryError("Unable to allocate 2.52 GiB")])
+def test_verify_out_of_memory_is_an_error_not_a_failed_check(monkeypatch, capsys, exc):
+    # Exit 1 means a check failed; a grid too large for the host checked nothing.
+    from costbench import verify
+
+    def run_verify(**kwargs):
+        raise exc
+
+    monkeypatch.setattr(verify, "run_verify", run_verify)
+    assert main(["verify", "--fast"]) == 2
+    out, err = capsys.readouterr()
+    assert err == (f"error: out of memory ({exc})\n" if str(exc) else "error: out of memory\n")
+    assert out == ""
+
+
 def test_ablate_preset(tmp_path):
     cfg = tmp_path / "abl.cfg"
     cfg.write_text(

@@ -3,11 +3,13 @@ import csv
 import io
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from costbench.harness import (
+    _CONFIG_KEYS,
     ConfigError,
     ExperimentConfig,
     ROW_FIELDS,
@@ -84,13 +86,9 @@ learning_rate = 0.25
 n_epochs = 100
 selection = val_loss
 
-[postprocess]
-n_candidates = 17
-
 [output]
 rows_csv = out/rows.csv
 table = out/table.md
-format = csv
 """
     )
     cfg = parse_config(path)
@@ -101,8 +99,26 @@ format = csv
     assert cfg.n_seeds == 3
     assert cfg.master_seed == 11
     assert cfg.learning_rate == 0.25
-    assert cfg.postprocess_candidates == 17
-    assert cfg.table_format == "csv"
+    assert cfg.table_path == "out/table.md"
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in (REPO / "configs").glob("*.cfg")))
+def test_shipped_configs_parse(name):
+    # Reads no data file, so the UCI configs are checked without their data.
+    cfg = parse_config(REPO / "configs" / name)
+    assert Path(cfg.rows_csv).parent == Path(cfg.table_path).parent == Path("results")
+
+
+def test_readme_config_table_lists_every_key():
+    keys, section = set(), None
+    for line in (REPO / "README.md").read_text().splitlines():
+        if m := re.match(r"\| (?:`\[(\w+)\]`)? *\| `(\w+)` \|", line):
+            section = m[1] or section
+            keys.add((section, m[2]))
+    assert keys == set(_CONFIG_KEYS)
 
 
 def test_parse_config_rejects_unknown_key(tmp_path):
@@ -245,12 +261,11 @@ def test_parse_config_rejects_batch_size(tmp_path):
         parse_config(path)
 
 
-def test_config_rejects_bad_train_and_postprocess_values(tmp_path, capsys):
+def test_config_rejects_bad_train_values(tmp_path, capsys):
     # Rejected when the config is read, not once the first cell has trained.
     from costbench.cli import main
 
-    for section, key, value in [("postprocess", "n_candidates", "0"),
-                                ("train", "n_epochs", "0"),
+    for section, key, value in [("train", "n_epochs", "0"),
                                 ("train", "learning_rate", "-1"),
                                 ("train", "learning_rate", "nan")]:
         path = tmp_path / f"{key}_{value}.cfg"
@@ -259,10 +274,24 @@ def test_config_rejects_bad_train_and_postprocess_values(tmp_path, capsys):
             parse_config(path)
         assert main(["run", str(path)]) == 2
         assert f"{path}: [{section}] {key}" in capsys.readouterr().err
-    with pytest.raises(ConfigError, match="n_candidates"):
-        ExperimentConfig(postprocess_candidates=0)
     with pytest.raises(ConfigError, match="n_epochs"):
         ExperimentConfig(n_epochs=0)
+
+
+def test_config_rejects_the_removed_candidates_and_format_keys(tmp_path, capsys):
+    # Both held one value in every shipped config: cross_entropy_post searches
+    # postprocess_search's default 100 weight vectors, and run and ablate write
+    # markdown tables (`costbench table --format csv` still writes CSV).
+    from costbench.cli import main
+
+    for text, error in [("[postprocess]\nn_candidates = 100\n", "unknown section [postprocess]"),
+                        ("[output]\nformat = markdown\n", "unknown key 'format' in [output]")]:
+        path = tmp_path / "old.cfg"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: {error}")):
+            parse_config(path)
+        assert main(["run", str(path)]) == 2
+        assert error in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("widths", ["", "4, 0"])

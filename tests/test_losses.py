@@ -23,8 +23,10 @@ from costbench.embedding import (
 )
 from costbench.losses import (
     LOSS_KINDS,
+    LOSS_LABELS,
     BoundLoss,
     NonFiniteScores,
+    check_loss,
     class_weights,
     cross_entropy_batch,
     embedding_raw_batch,
@@ -277,6 +279,65 @@ def test_loss_spec_validation():
     with pytest.raises(ValueError):
         BoundLoss("weighted_hinge", STUDENT)  # needs a 2x2 alpha matrix
     BoundLoss("weighted_hinge", ALPHA6)
+
+
+def _previous_label_check(label, cost):
+    """The label rules as harness._loss_kind and losses.check_loss split them
+    before check_loss took labels: the kind a label trains, or ValueError."""
+    if label not in LOSS_KINDS + ("cross_entropy_post",):
+        raise ValueError(f"unknown loss {label!r}")
+    kind = label
+    if label == "cross_entropy_post":
+        if not cost.is_square:
+            raise ValueError("cross_entropy_post is undefined when reports != labels "
+                             "(weighted argmax has no deferral score)")
+        kind = "cross_entropy"
+    if kind == "weighted_hinge":
+        c = cost.entries
+        if c.shape != (2, 2) or c[0, 0] != 0 or c[1, 1] != 0:
+            raise ValueError("weighted_hinge needs a zero-diagonal 2x2 matrix")
+        if c[1, 0] <= 0 or c[0, 1] <= 0:
+            raise ValueError("weighted_hinge needs positive off-diagonal costs")
+    return kind
+
+
+def _outcome(check, label, cost):
+    try:
+        return check(label, cost)
+    except ValueError as exc:
+        return "unknown" if str(exc).startswith("unknown loss") else str(exc)
+
+
+LABEL_MATRICES = {**stock_matrices(), "zero_one_four_class": zero_one_matrix(4)}
+
+
+@pytest.mark.parametrize("name", sorted(LABEL_MATRICES))
+def test_check_loss_matches_the_previous_label_rules(name):
+    cost = LABEL_MATRICES[name]
+    assert LOSS_LABELS == (*LOSS_KINDS, "cross_entropy_post")
+    for label in (*LOSS_LABELS, "nope", "cross_entropy_post ", "CROSS_ENTROPY"):
+        want = _outcome(_previous_label_check, label, cost)
+        assert _outcome(check_loss, label, cost) == want, label
+        if want in LOSS_KINDS:
+            assert BoundLoss(label, cost).kind == want
+        else:
+            with pytest.raises(ValueError):
+                BoundLoss(label, cost)
+
+
+@pytest.mark.parametrize("name", sorted(n for n, c in LABEL_MATRICES.items() if c.is_square))
+def test_post_label_binds_the_cross_entropy_loss_bit_for_bit(name):
+    cost = LABEL_MATRICES[name]
+    post, plain = BoundLoss("cross_entropy_post", cost), BoundLoss("cross_entropy", cost)
+    assert post.kind == plain.kind == "cross_entropy"
+    assert post.out_dim == plain.out_dim
+    scores, labels = _decision_inputs(cost.n_reports, cost.n_labels)
+    for a, b in zip(post.batch(scores, post.targets(labels)),
+                    plain.batch(scores, plain.targets(labels))):
+        assert a.tobytes() == b.tobytes()
+    weights = postprocess_search(scores, labels, cost)
+    for w in (None, weights):
+        assert post.decide_batch(scores, w).tobytes() == plain.decide_batch(scores, w).tobytes()
 
 
 def test_bound_loss_out_dims():
