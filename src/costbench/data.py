@@ -18,7 +18,7 @@ import hashlib
 import os
 import warnings
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -136,27 +136,22 @@ class UciSpec:
         return data_dir() / self.dirname / self.filename
 
 
+_GERMAN_CREDIT = UciSpec(
+    dirname="german_credit",
+    filename="raw.data",
+    delimiter=None,
+    label_column=-1,
+    label_values=("1", "2"),  # 1 = good risk -> 0, 2 = bad risk -> 1
+    cost_factory=german_credit_matrix,
+    url="https://archive.ics.uci.edu/dataset/144/statlog+german+credit+data",
+    expected_rows=1000,
+)
+
 UCI_SPECS: dict[str, UciSpec] = {
-    "german_credit": UciSpec(
-        dirname="german_credit",
-        filename="raw.data",
-        delimiter=None,
-        label_column=-1,
-        label_values=("1", "2"),  # 1 = good risk -> 0, 2 = bad risk -> 1
-        cost_factory=german_credit_matrix,
-        url="https://archive.ics.uci.edu/dataset/144/statlog+german+credit+data",
-        expected_rows=1000,
-    ),
-    "german_credit_deferral": UciSpec(
-        dirname="german_credit",  # same raw file, extra defer report in the costs
-        filename="raw.data",
-        delimiter=None,
-        label_column=-1,
-        label_values=("1", "2"),
-        cost_factory=german_credit_deferral_matrix,
-        url="https://archive.ics.uci.edu/dataset/144/statlog+german+credit+data",
-        expected_rows=1000,
-    ),
+    "german_credit": _GERMAN_CREDIT,
+    # The same raw file, with an extra defer report in the costs.
+    "german_credit_deferral": replace(_GERMAN_CREDIT,
+                                      cost_factory=german_credit_deferral_matrix),
     "student_performance": UciSpec(
         dirname="student_performance",
         filename="raw.csv",

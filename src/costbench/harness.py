@@ -161,6 +161,12 @@ def _float_or_nan(text: str) -> float:
     return float(text) if text else float("nan")
 
 
+# How read_rows_csv parses each field that is not text.
+_ROW_PARSERS = dict(seed=int, accuracy=lambda text: float(text) if text else None,
+                    **dict.fromkeys(("csl", "train_loss", "val_loss", "test_loss"),
+                                    _float_or_nan))
+
+
 def read_rows_csv(path) -> list[ResultRow]:
     """Rows of a rows CSV; a missing column or a bad value raises ValueError
     naming the file (and the line)."""
@@ -174,19 +180,8 @@ def read_rows_csv(path) -> list[ResultRow]:
             try:
                 if None in rec or None in rec.values():  # a long or a short row
                     raise ValueError(f"expected {len(reader.fieldnames)} fields")
-                rows.append(
-                    ResultRow(
-                        dataset=rec["dataset"],
-                        loss=rec["loss"],
-                        seed=int(rec["seed"]),
-                        csl=_float_or_nan(rec["csl"]),
-                        accuracy=float(rec["accuracy"]) if rec["accuracy"] else None,
-                        train_loss=_float_or_nan(rec["train_loss"]),
-                        val_loss=_float_or_nan(rec["val_loss"]),
-                        test_loss=_float_or_nan(rec["test_loss"]),
-                        failed=rec["failed"],
-                    )
-                )
+                rows.append(ResultRow(**{f: _ROW_PARSERS.get(f, str)(rec[f])
+                                         for f in ROW_FIELDS}))
             except ValueError as exc:
                 raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
     return rows
@@ -439,28 +434,17 @@ def emit_table(cells: list[AggregateCell], fmt: str, path=None) -> str:
 
 
 def _markdown_table(cells: list[AggregateCell]) -> str:
-    by_key: dict[tuple[str, str], dict[str, AggregateCell]] = {}
-    dataset_order: list[str] = []
-    loss_order: dict[str, list[str]] = {}
+    # dataset -> loss -> metric; dicts keep the order of first appearance.
+    groups: dict[str, dict[str, dict[str, AggregateCell]]] = {}
     for c in cells:
-        by_key.setdefault((c.dataset, c.loss), {})[c.metric] = c
-        if c.dataset not in dataset_order:
-            dataset_order.append(c.dataset)
-            loss_order[c.dataset] = []
-        if c.loss not in loss_order[c.dataset]:
-            loss_order[c.dataset].append(c.loss)
+        groups.setdefault(c.dataset, {}).setdefault(c.loss, {})[c.metric] = c
     lines = [
         "| Dataset | Loss | Cost-Sensitive Loss | Accuracy |",
         "|---|---|---|---|",
     ]
-    for dataset in dataset_order:
-        best_csl = min(
-            by_key[(dataset, loss)]["csl"].mean
-            for loss in loss_order[dataset]
-            if "csl" in by_key[(dataset, loss)]
-        )
-        for loss in loss_order[dataset]:
-            metrics = by_key[(dataset, loss)]
+    for dataset, by_loss in groups.items():
+        best_csl = min(m["csl"].mean for m in by_loss.values() if "csl" in m)
+        for loss, metrics in by_loss.items():
             csl = metrics.get("csl")
             acc = metrics.get("accuracy")
             csl_text = "-"

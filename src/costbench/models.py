@@ -71,11 +71,13 @@ def init_model(spec: ModelSpec) -> Params:
     return params
 
 
-def _forward_cache(params: Params, x: np.ndarray, out: np.ndarray | None = None):
-    """Scores of x and the input of every layer; the scores are written to out if given."""
+def _forward_cache(params: Params, x: np.ndarray, out: np.ndarray | None = None,
+                   hidden: list[np.ndarray] | None = None):
+    """Scores of x and the input of every layer; the scores are written to out
+    and hidden layer i to hidden[i] if given."""
     acts = [x]
-    for w, b in params[:-1]:
-        z = acts[-1] @ w
+    for i, (w, b) in enumerate(params[:-1]):
+        z = np.matmul(acts[-1], w, out=None if hidden is None else hidden[i])
         z += b
         acts.append(np.maximum(z, 0.0, out=z))
     w, b = params[-1]
@@ -98,14 +100,17 @@ def forward(params: Params, x) -> np.ndarray:
     return scores
 
 
-def _backward(params: Params, acts, grad_scores: np.ndarray) -> Params:
+def _backward(params: Params, acts, grad_scores: np.ndarray,
+              deltas: list[np.ndarray] | None = None) -> Params:
+    """Parameter gradients; the delta into hidden layer i is written to deltas[i] if given."""
     grads: Params = [None] * len(params)
     delta = grad_scores
     for i in range(len(params) - 1, -1, -1):
         w, _ = params[i]
         grads[i] = (acts[i].T @ delta, delta.sum(axis=0))
         if i > 0:
-            delta = (delta @ w.T) * (acts[i] > 0)
+            delta = np.matmul(delta, w.T, out=None if deltas is None else deltas[i - 1])
+            delta *= acts[i] > 0
     return grads
 
 
@@ -139,7 +144,7 @@ def train(
     history[e] holds (train loss, val loss) at the parameters after e updates;
     row 0 is the initial model. best_epoch is the first epoch attaining the
     minimal validation loss, and the returned parameters are its snapshot:
-    each step builds a new parameter list and writes into no array in place.
+    each step builds new parameter arrays and writes into no parameter in place.
     selection_metric, when given, replaces the validation loss as the
     per-epoch selection criterion: a callable from the epoch's validation
     scores to a float, lower is better.
@@ -172,6 +177,10 @@ def train(
         t_all = loss.targets(np.concatenate([y_tr, y_va]))
     else:
         t_tr, t_va = loss.targets(y_tr), loss.targets(y_va)
+    # Hidden activations per split and backward deltas, reused every epoch;
+    # fresh ones would take page faults each epoch once glibc trims them.
+    h_tr, h_va, d_tr = ([np.empty((n, m)) for m in spec.hidden_dims]
+                        for n in (n_tr, n_va, n_tr))
     history = np.empty((cfg.n_epochs + 1, 2))
     best_epoch, best_sel = 0, np.inf
 
@@ -180,8 +189,8 @@ def train(
         # differently, since BLAS can block the rows another way. The array
         # is fresh each epoch, so selection_metric may keep s_va.
         scores = np.empty((n_tr + n_va, spec.out_dim))
-        _, acts = _forward_cache(params, x_tr, scores[:n_tr])
-        s_va = _forward_cache(params, x_va, scores[n_tr:])[0]
+        _, acts = _forward_cache(params, x_tr, scores[:n_tr], h_tr)
+        s_va = _forward_cache(params, x_va, scores[n_tr:], h_va)[0]
         try:
             if stack:
                 vals, g = loss.batch(scores, t_all)
@@ -202,10 +211,11 @@ def train(
         if epoch == 0 or sel < best_sel:
             best_epoch, best_sel, best_params = epoch, sel, params
         if epoch < cfg.n_epochs:
-            grads = _backward(params, acts, g[:n_tr] / n_tr)
-            params = [
-                (w - lr * gw, b - lr * gb) for (w, b), (gw, gb) in zip(params, grads)
-            ]
+            grads = _backward(params, acts, g[:n_tr] / n_tr, d_tr)
+            for gw, gb in grads:  # fresh arrays; g * lr rounds as lr * g
+                gw *= lr
+                gb *= lr
+            params = [(w - gw, b - gb) for (w, b), (gw, gb) in zip(params, grads)]
 
     return TrainedModel(loss, best_params, history, best_epoch)
 

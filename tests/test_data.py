@@ -309,6 +309,18 @@ def test_load_german_deferral_shares_data(german_dir):
     assert len(ds) == 6
 
 
+def test_german_deferral_spec_differs_only_in_its_costs():
+    import dataclasses
+
+    from costbench.harness import DATASET_NAMES
+
+    plain, deferral = UCI_SPECS["german_credit"], UCI_SPECS["german_credit_deferral"]
+    assert plain.cost_factory is not deferral.cost_factory
+    assert dataclasses.replace(deferral, cost_factory=plain.cost_factory) == plain
+    assert DATASET_NAMES == ("synthetic", "german_credit", "german_credit_deferral",
+                             "student_performance", "diabetes")
+
+
 def test_load_memo_reuses_dataset(german_dir):
     with pytest.warns(UserWarning):
         first = load_uci("german_credit")

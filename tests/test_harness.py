@@ -395,6 +395,19 @@ def test_markdown_marks_best_and_missing_accuracy():
     assert ce_line.rstrip().endswith("- |")  # accuracy column shows "-"
 
 
+def test_markdown_groups_by_dataset_in_first_appearance_order():
+    # Losses of two datasets interleave in the rows; the table lists each
+    # dataset's losses together and bolds the best CSL within each dataset.
+    rows = [ResultRow("d1", "a", 0, 0.4, 0.9, 0.1, 0.2, 0.3),
+            ResultRow("d2", "b", 0, 0.2, None, 0.1, 0.2, 0.3),
+            ResultRow("d1", "c", 0, 0.3, 0.8, 0.1, 0.2, 0.3)]
+    assert emit_table(aggregate(rows), "markdown").splitlines()[2:] == [
+        "| d1 | a | 0.400 ± 0.000 | 0.900 ± 0.000 |",
+        "| d1 | c | **0.300 ± 0.000** | 0.800 ± 0.000 |",
+        "| d2 | b | **0.200 ± 0.000** | - |",
+    ]
+
+
 def test_emit_table_rejects_unknown_format():
     with pytest.raises(ValueError):
         emit_table(aggregate([make_row("ce", 0, 0.1)]), "latex")

@@ -694,3 +694,101 @@ def test_one_loss_pass_per_epoch(kind, selection, synthetic_splits):
     train(ModelSpec(2, loss.out_dim, init_seed=2), loss, tr, va, cfg,
           selection_metric=metric)
     assert calls == [len(tr[0]) + len(va[0])] * (cfg.n_epochs + 1)
+
+
+# --- buffered epoch against the previous epoch ----------------------------------------
+
+
+def _fresh_forward_cache(params, x, out=None):
+    """The forward pass that allocated every hidden activation afresh."""
+    acts = [x]
+    for w, b in params[:-1]:
+        z = acts[-1] @ w
+        z += b
+        acts.append(np.maximum(z, 0.0, out=z))
+    w, b = params[-1]
+    scores = np.matmul(acts[-1], w, out=out)
+    scores += b
+    acts.append(scores)
+    return scores, acts
+
+
+def _fresh_backward(params, acts, grad_scores):
+    """The backward pass that allocated every delta and ReLU product afresh."""
+    grads = [None] * len(params)
+    delta = grad_scores
+    for i in range(len(params) - 1, -1, -1):
+        w, _ = params[i]
+        grads[i] = (acts[i].T @ delta, delta.sum(axis=0))
+        if i > 0:
+            delta = (delta @ w.T) * (acts[i] > 0)
+    return grads
+
+
+def fresh_train(spec, loss, train_xy, val_xy, cfg, selection_metric=None):
+    """`train` as it was before its hidden and delta buffers: the same loop,
+    with fresh temporaries each epoch and the update lr * g."""
+    x_tr, y_tr = np.asarray(train_xy[0], float), np.asarray(train_xy[1], int)
+    x_va, y_va = np.asarray(val_xy[0], float), np.asarray(val_xy[1], int)
+    n_tr, n_va = len(x_tr), len(x_va)
+    params = init_model(spec)
+    stack = min(n_tr, n_va) > 1
+    if stack:
+        t_all = loss.targets(np.concatenate([y_tr, y_va]))
+    else:
+        t_tr, t_va = loss.targets(y_tr), loss.targets(y_va)
+    history = np.empty((cfg.n_epochs + 1, 2))
+    best_epoch, best_sel = 0, np.inf
+    for epoch in range(cfg.n_epochs + 1):
+        scores = np.empty((n_tr + n_va, spec.out_dim))
+        _, acts = _fresh_forward_cache(params, x_tr, scores[:n_tr])
+        s_va = _fresh_forward_cache(params, x_va, scores[n_tr:])[0]
+        if stack:
+            vals, g = loss.batch(scores, t_all)
+        else:
+            (vals, g), (v_va, _) = loss.batch(scores[:n_tr], t_tr), loss.batch(s_va, t_va)
+            vals = np.concatenate([vals, v_va])
+        tl = float(np.add.reduce(vals[:n_tr]) / n_tr)
+        vl = float(np.add.reduce(vals[n_tr:]) / n_va)
+        history[epoch] = (tl, vl)
+        sel = vl if selection_metric is None else float(selection_metric(s_va))
+        if epoch == 0 or sel < best_sel:
+            best_epoch, best_sel, best_params = epoch, sel, params
+        if epoch < cfg.n_epochs:
+            grads = _fresh_backward(params, acts, g[:n_tr] / n_tr)
+            params = [(w - cfg.learning_rate * gw, b - cfg.learning_rate * gb)
+                      for (w, b), (gw, gb) in zip(params, grads)]
+    return TrainedModel(loss, best_params, history, best_epoch)
+
+
+@pytest.mark.parametrize("n_tr, n_va", [(120, 80), (1, 30), (30, 1)])
+@pytest.mark.parametrize("hidden", [(), (5,), (16, 16), (3, 4, 3)])
+def test_buffered_epoch_matches_fresh_temporaries(hidden, n_tr, n_va, synthetic_splits):
+    from costbench.costs import confusion, cost_sensitive_loss
+
+    cost = synthetic_cost_matrix(1 / 6)
+    (x_tr, y_tr), (x_va, y_va) = synthetic_splits
+    tr, va = (x_tr[:n_tr], y_tr[:n_tr]), (x_va[:n_va], y_va[:n_va])
+    cfg = TrainConfig(learning_rate=0.05, n_epochs=20)
+    for kind, selection in itertools.product(LOSS_KIND_NAMES, ("val_loss", "val_csl")):
+        loss = BoundLoss(kind, cost)
+        spec = ModelSpec(2, loss.out_dim, hidden_dims=hidden, init_seed=7)
+        metric = kept = None
+        if selection == "val_csl":
+            kept = []
+
+            def metric(s_va):
+                kept.append((s_va, s_va.copy()))
+                preds = loss.decide_batch(s_va)
+                return cost_sensitive_loss(
+                    confusion(preds, va[1], cost.n_reports, cost.n_labels), cost)
+
+        want = fresh_train(spec, loss, tr, va, cfg, selection_metric=metric)
+        if kept is not None:
+            kept.clear()
+        got = train(spec, loss, tr, va, cfg, selection_metric=metric)
+        _assert_same_model(got, want)
+        if kept is not None:
+            # No later epoch wrote into an array that an earlier s_va shares.
+            assert len(kept) == cfg.n_epochs + 1
+            assert all(np.array_equal(s, copy) for s, copy in kept)
