@@ -37,10 +37,7 @@ def _plan(preset, workers):
                 print(f"SKIP {cfg.dataset}: {raw} missing (fetch_uci.py)")
                 continue
         if preset:
-            try:
-                cfg = apply_preset(cfg, preset)
-            except ConfigError as exc:
-                raise ConfigError(f"{cfg_path}: {exc}") from exc
+            cfg = apply_preset(cfg, preset)
         plans.append(replace(cfg, workers=workers))
     return plans
 

@@ -7,7 +7,7 @@ Subcommands:
   table <rows.csv> --format    re-aggregate a rows file into a table
 
 Exit codes: 0 success, 1 violations or failed cells, 2 configuration and other
-errors (a missing file, a bad value, running out of memory).
+errors (a file it cannot read or write, a bad value, running out of memory).
 """
 from __future__ import annotations
 
@@ -51,11 +51,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    cfg = parse_config(args.config)
-    try:
-        cfg = apply_preset(cfg, args.preset)
-    except ConfigError as exc:  # a setting the preset turns on, e.g. mlp hidden_dims
-        raise ConfigError(f"{args.config}: {exc}") from exc
+    cfg = apply_preset(parse_config(args.config), args.preset)
     return report(run_experiment(cfg), cfg)
 
 
@@ -130,7 +126,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:  # not a failed check: the host could not run it

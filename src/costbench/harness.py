@@ -5,8 +5,7 @@ seeds through the documented 64-bit mixer so adding a loss never perturbs
 other cells; the data subsample/split seed deliberately excludes the loss
 name, so every loss within one seed index sees the same samples (paired
 comparisons). Cells execute independently (optionally in a process pool) and
-are sorted by cell key before aggregation, so parallelism never changes
-output bytes.
+come back in task order, so parallelism never changes output bytes.
 """
 from __future__ import annotations
 
@@ -49,8 +48,7 @@ class ExperimentConfig:
         "embedding_softmax",
         "scaled_cross_entropy",
     )
-    model_kind: str = "linear"
-    hidden_dims: tuple[int, ...] = (100, 100, 100, 100)  # mlp only
+    hidden_dims: tuple[int, ...] = ()   # ReLU MLP widths; none is a linear model
     learning_rate: float | None = None  # None = per-model default
     n_epochs: int = 10000
     selection: str = "val_loss"         # or "val_csl"
@@ -71,6 +69,9 @@ class ExperimentConfig:
             )
         if self.n_seeds < 1:
             raise ConfigError(f"[experiment] n_seeds must be >= 1, got {self.n_seeds!r}")
+        if not 0 <= self.master_seed < 2**64:
+            raise ConfigError(f"[experiment] master_seed must be in [0, 2**64), "
+                              f"got {self.master_seed!r}")
         if self.workers < 1:
             raise ConfigError(f"[experiment] workers must be >= 1, got {self.workers!r}")
         if min(sizes := data_mod.split_sizes(self.n_samples)) < 1:
@@ -80,11 +81,8 @@ class ExperimentConfig:
             raise ConfigError("[experiment] losses must name at least one loss")
         if len(set(self.losses)) != len(self.losses):
             raise ConfigError(f"[experiment] losses name a loss more than once: {self.losses}")
-        if self.model_kind not in ("linear", "mlp"):
-            raise ConfigError(f"[model] kind must be linear or mlp, got {self.model_kind!r}")
-        if self.model_kind == "mlp" and (not self.hidden_dims or min(self.hidden_dims) < 1):
-            raise ConfigError("[model] hidden_dims must name one or more positive "
-                              f"widths for an mlp, got {self.hidden_dims}")
+        if self.hidden_dims and min(self.hidden_dims) < 1:
+            raise ConfigError(f"[model] hidden_dims must be positive, got {self.hidden_dims}")
         if self.selection not in ("val_loss", "val_csl"):
             raise ConfigError(f"[train] selection must be val_loss or val_csl, "
                               f"got {self.selection!r}")
@@ -110,7 +108,7 @@ class ExperimentConfig:
     def effective_learning_rate(self) -> float:
         if self.learning_rate is not None:
             return self.learning_rate
-        return DEFAULT_LINEAR_LR if self.model_kind == "linear" else DEFAULT_MLP_LR
+        return DEFAULT_MLP_LR if self.hidden_dims else DEFAULT_LINEAR_LR
 
 
 DEFAULT_LINEAR_LR = 1.0
@@ -216,7 +214,6 @@ _CONFIG_KEYS = {
     ("experiment", "n_seeds"): ("n_seeds", int),
     ("experiment", "master_seed"): ("master_seed", int),
     ("experiment", "workers"): ("workers", int),
-    ("model", "kind"): ("model_kind", str.strip),
     ("model", "hidden_dims"): ("hidden_dims", _parse_ints),
     ("train", "learning_rate"): ("learning_rate", float),
     ("train", "n_epochs"): ("n_epochs", int),
@@ -295,7 +292,7 @@ def run_cell(cfg: ExperimentConfig, label: str, seed_index: int) -> ResultRow:
         spec = ModelSpec(
             in_dim=ds.n_features,
             out_dim=loss.out_dim,
-            hidden_dims=cfg.hidden_dims if cfg.model_kind == "mlp" else (),
+            hidden_dims=cfg.hidden_dims,
             init_seed=cell_seed,
         )
         tcfg = TrainConfig(learning_rate=cfg.effective_learning_rate, n_epochs=cfg.n_epochs)
@@ -316,7 +313,7 @@ def run_cell(cfg: ExperimentConfig, label: str, seed_index: int) -> ResultRow:
             )
         result = evaluate(model, te, cost, weights)
         slope = None
-        if cfg.model_kind == "linear" and ds.n_features == 2 and spec.out_dim <= 2:
+        if not cfg.hidden_dims and ds.n_features == 2 and spec.out_dim <= 2:
             rep = boundary_slope(model)
             slope = float("nan") if rep.degenerate else rep.slope
         return ResultRow(
@@ -345,7 +342,8 @@ def _run_cell_star(args) -> ResultRow:
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
-    """All (loss, seed) cells of a config, in deterministic order.
+    """All (loss, seed) cells of a config in task order (losses as listed, seeds
+    ascending), which the pool keeps: `Executor.map` yields in input order.
 
     A cell whose training diverges is recorded as a failed row and the other
     cells still run. Any other exception in a cell propagates and ends the
@@ -364,8 +362,6 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
             rows = list(pool.map(_run_cell_star, tasks, chunksize=1))
     else:
         rows = [run_cell(*t) for t in tasks]
-    order = {label: i for i, label in enumerate(cfg.losses)}
-    rows.sort(key=lambda r: (r.dataset, order[r.loss], r.seed))
     return rows
 
 
@@ -443,7 +439,7 @@ def _markdown_table(cells: list[AggregateCell]) -> str:
         "|---|---|---|---|",
     ]
     for dataset, by_loss in groups.items():
-        best_csl = min(m["csl"].mean for m in by_loss.values() if "csl" in m)
+        best_csl = min((m["csl"].mean for m in by_loss.values() if "csl" in m), default=None)
         for loss, metrics in by_loss.items():
             csl = metrics.get("csl")
             acc = metrics.get("accuracy")
@@ -462,6 +458,7 @@ def _markdown_table(cells: list[AggregateCell]) -> str:
 # ---------------------------------------------------------------------------
 
 FULL_DATA_SYNTHETIC = 10000  # UCI datasets use every row of the raw file
+MLP_HIDDEN_DIMS = (100, 100, 100, 100)  # the mlp preset's, if the config names none
 
 ABLATION_PRESETS = ("full_data", "mlp")
 
@@ -479,7 +476,7 @@ def apply_preset(cfg: ExperimentConfig, preset: str) -> ExperimentConfig:
              else data_mod.UCI_SPECS[cfg.dataset].expected_rows)
         changes = {"n_samples": n}
     elif preset == "mlp":
-        changes = {"model_kind": "mlp", "learning_rate": None}
+        changes = {"hidden_dims": cfg.hidden_dims or MLP_HIDDEN_DIMS, "learning_rate": None}
     else:
         raise ConfigError(f"unknown preset {preset!r}; one of {ABLATION_PRESETS}")
     return replace(cfg, **changes, rows_csv=_suffixed(cfg.rows_csv, preset),

@@ -127,6 +127,30 @@ def test_table_rejects_malformed_rows_csv(tmp_path, text, names):
     assert "Traceback" not in res.stderr
 
 
+def test_table_renders_a_dataset_without_a_finite_csl(tmp_path, capsys):
+    # No loss has a CSL to bold: the cell reads "-", as for one such loss
+    # beside another.
+    rows = tmp_path / "rows.csv"
+    rows.write_text("dataset,loss,seed,csl,accuracy,train_loss,val_loss,test_loss,failed\n"
+                    "synthetic,cross_entropy,0,,0.5,0.1,0.1,0.1,\n")
+    assert main(["table", str(rows)]) == 0
+    assert "| synthetic | cross_entropy | - | 0.500 ± 0.000 |" in capsys.readouterr().out
+
+
+def test_other_os_errors_exit_2(tmp_path, capsys):
+    # Exit 1 means failed cells or checks; a path the command cannot use is
+    # an error, as a missing file is: a directory as the rows CSV, and an
+    # output directory that is a regular file.
+    assert main(["table", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    rows = tmp_path / "rows.csv"
+    rows.write_text("dataset,loss,seed,csl,accuracy,train_loss,val_loss,test_loss,failed\n"
+                    "synthetic,cross_entropy,0,0.5,0.5,0.1,0.1,0.1,\n")
+    (tmp_path / "file").write_text("")
+    assert main(["table", str(rows), "--out", str(tmp_path / "file" / "table.md")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_verify_fast_passes(tmp_path):
     res = run_cli(["verify", "--fast"], cwd=tmp_path)
     assert res.returncode == 0, res.stdout + res.stderr

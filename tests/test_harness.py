@@ -78,9 +78,6 @@ losses = cross_entropy, embedding
 n_seeds = 3
 master_seed = 11
 
-[model]
-kind = linear
-
 [train]
 learning_rate = 0.25
 n_epochs = 100
@@ -239,7 +236,8 @@ def test_config_rejects_empty_split_or_no_workers(tmp_path, capsys, line, key):
     ("[experiment]\nlosses = embedding, embedding\n", "experiment", "losses"),
     ("[experiment]\ndataset = german_credit_deferral\nlosses = weighted_hinge\n",
      "experiment", "losses"),
-    ("[model]\nkind = cnn\n", "model", "kind"),
+    ("[experiment]\nmaster_seed = -1\n", "experiment", "master_seed"),
+    ("[experiment]\nmaster_seed = 18446744073709551616\n", "experiment", "master_seed"),
     ("[train]\nselection = best\n", "train", "selection"),
 ])
 def test_config_errors_name_section_and_key(tmp_path, text, section, key):
@@ -278,6 +276,35 @@ def test_config_rejects_bad_train_values(tmp_path, capsys):
         ExperimentConfig(n_epochs=0)
 
 
+def test_parse_config_rejects_model_kind(tmp_path, capsys):
+    # The hidden widths alone say what the model is: none is a linear model.
+    from costbench.cli import main
+
+    path = tmp_path / "kind.cfg"
+    path.write_text("[model]\nkind = mlp\n")
+    with pytest.raises(ConfigError, match="unknown key 'kind' in \\[model\\]"):
+        parse_config(path)
+    assert main(["run", str(path)]) == 2
+    assert "unknown key 'kind' in [model]" in capsys.readouterr().err
+
+
+def test_named_hidden_widths_train_an_mlp(tmp_path):
+    # Without a kind key, named widths are an MLP at the MLP learning rate;
+    # an empty list is a linear model, the only kind with a boundary slope.
+    path = tmp_path / "mlp.cfg"
+    path.write_text("[experiment]\nn_samples = 60\nlosses = cross_entropy\nn_seeds = 1\n"
+                    "[model]\nhidden_dims = 3\n[train]\nn_epochs = 5\n")
+    cfg = parse_config(path)
+    assert cfg.hidden_dims == (3,) and cfg.effective_learning_rate == 0.01
+    [row] = run_experiment(cfg)
+    assert not row.failed and row.boundary_slope is None
+    path.write_text(path.read_text().replace("hidden_dims = 3", "hidden_dims ="))
+    linear = parse_config(path)
+    assert linear.hidden_dims == () and linear.effective_learning_rate == 1.0
+    [row] = run_experiment(linear)
+    assert isinstance(row.boundary_slope, float)
+
+
 def test_config_rejects_the_removed_candidates_and_format_keys(tmp_path, capsys):
     # Both held one value in every shipped config: cross_entropy_post searches
     # postprocess_search's default 100 weight vectors, and run and ablate write
@@ -294,30 +321,31 @@ def test_config_rejects_the_removed_candidates_and_format_keys(tmp_path, capsys)
         assert error in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("widths", ["", "4, 0"])
+@pytest.mark.parametrize("widths", ["0", "4, 0"])
 def test_config_rejects_mlp_without_positive_hidden_widths(tmp_path, capsys, widths):
-    # An empty list would train a linear model; a zero width would fail only
-    # in the first cell, with a message that names neither file nor key.
+    # A zero width would fail only in the first cell, with a message that
+    # names neither file nor key. (An empty list is a linear model.)
     from costbench.cli import main
 
     path = tmp_path / "mlp.cfg"
-    path.write_text(f"[model]\nkind = mlp\nhidden_dims = {widths}\n")
+    path.write_text(f"[model]\nhidden_dims = {widths}\n")
     with pytest.raises(ConfigError, match=re.escape(f"{path}: [model] hidden_dims")):
         parse_config(path)
-    assert main(["run", str(path)]) == 2
-    assert f"{path}: [model] hidden_dims" in capsys.readouterr().err
-    linear = tmp_path / "linear.cfg"
-    linear.write_text(f"[model]\nkind = linear\nhidden_dims = {widths}\n")
-    assert main(["ablate", "mlp", str(linear)]) == 2
-    assert f"{linear}: [model] hidden_dims" in capsys.readouterr().err
+    for command in (["run", str(path)], ["ablate", "mlp", str(path)]):
+        assert main(command) == 2
+        assert f"{path}: [model] hidden_dims" in capsys.readouterr().err
 
 
 def test_preset_application():
+    from dataclasses import replace
+
     cfg = ExperimentConfig(dataset="synthetic", n_samples=500)
     full = apply_preset(cfg, "full_data")
     assert full.n_samples == 10000
     mlp = apply_preset(cfg, "mlp")
-    assert mlp.model_kind == "mlp"
+    assert mlp.hidden_dims == (100,) * 4
+    named = apply_preset(replace(cfg, hidden_dims=(8, 8), learning_rate=0.5), "mlp")
+    assert named.hidden_dims == (8, 8) and named.learning_rate is None
     with pytest.raises(ConfigError):
         apply_preset(cfg, "bigger")
 
